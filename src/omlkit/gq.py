@@ -21,6 +21,10 @@ class GQ:
     def __setattr__(self, name, value):
         raise AttributeError("GQ is immutable")
 
+    def __reduce__(self):
+        # the default slot-state pickling would go through __setattr__
+        return (GQ, (self.re, self.im))
+
     # -- arithmetic -------------------------------------------------------
 
     @staticmethod
@@ -110,6 +114,19 @@ class GQ:
 
     def __str__(self):
         return format_gq(self)
+
+
+_set_re = GQ.re.__set__
+_set_im = GQ.im.__set__
+
+
+def _gq_of_fractions(re: Fraction, im: Fraction) -> GQ:
+    """GQ from parts that are already normalised Fractions, without the
+    re-coercion that GQ() does; for hot paths that build many scalars."""
+    z = object.__new__(GQ)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 ZERO = GQ(0)

@@ -363,10 +363,6 @@ def foulis_holland_check(L: FiniteOL, x: int, y: int, z: int) -> FoulisHollandRe
 # builders
 
 
-def chain2() -> FiniteOL:
-    return ol_from_leq(("0", "1"), [(0, 1)], (1, 0))
-
-
 def boolean_algebra(n_atoms: int, *, max_elements=DEFAULT_MAX_ELEMENTS) -> FiniteOL:
     """Powerset of n_atoms atoms; element index == subset bitmask."""
     n = 1 << n_atoms

@@ -6,7 +6,10 @@ arguments and never leave exact arithmetic.
 
 from __future__ import annotations
 
-from .gq import GQ, ZERO, ONE
+from fractions import Fraction
+from math import gcd, lcm
+
+from .gq import GQ, ZERO, ONE, _gq_of_fractions
 
 Matrix = tuple
 Vector = tuple
@@ -89,34 +92,90 @@ def unflatten(v: Vector, m: int, n: int) -> Matrix:
 
 def rref(rows) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with leading entries 1 and cleared pivot
-    columns; zero rows are dropped.  Returns (rows, pivot_columns)."""
-    work = [list(r) for r in rows]
+    columns; zero rows are dropped.  Returns (rows, pivot_columns).
+
+    Gauss-Jordan elimination over the Gaussian integers with integer
+    content removal.  Each row is scaled once to integer real and imaginary
+    parts.  A pivot row is multiplied by the conjugate of its pivot p, so p
+    becomes a real integer, and every step is row_i <- p*row_i - f*row_r.
+    Each new row is divided by the integer gcd of its parts.  A real p
+    keeps every row a rational multiple of the same row in elimination
+    over Q[i], and content removal makes it the smallest such integer row,
+    so entries never outgrow the Q[i] ones.  Only the final pivot rows are
+    divided by their pivots back into GQ, so the result is the same
+    canonical rref as elimination over Q[i]."""
+    work = [_int_row(r) for r in rows]
     if not work:
         return (), ()
-    ncols = len(work[0])
+    nrows = len(work)
+    ncols = len(work[0][0])
     pivots = []
     r = 0
     for c in range(ncols):
         pr = None
-        for i in range(r, len(work)):
-            if work[i][c]:
+        for i in range(r, nrows):
+            if work[i][0][c] or work[i][1][c]:
                 pr = i
                 break
         if pr is None:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        b_re, b_im = work[pr]
+        if b_im[c]:
+            b_re, b_im = _times_conj(b_re, b_im, b_re[c], b_im[c])
+        work[pr] = work[r]
+        work[r] = b_re, b_im
+        p = b_re[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            a_re, a_im = work[i]
+            f_re, f_im = a_re[c], a_im[c]
+            if f_re or f_im:
+                work[i] = _primitive(
+                    [p * x - f_re * u + f_im * v
+                     for x, u, v in zip(a_re, b_re, b_im)],
+                    [p * y - f_re * v - f_im * u
+                     for y, u, v in zip(a_im, b_re, b_im)])
         pivots.append(c)
         r += 1
-        if r == len(work):
+        if r == nrows:
             break
-    out = tuple(tuple(row) for row in work[:r])
-    return out, tuple(pivots)
+    out = []
+    for k in range(r):
+        a, b = work[k]
+        p = a[pivots[k]]
+        out.append(tuple(_gq_of_fractions(Fraction(x, p), Fraction(y, p))
+                         for x, y in zip(a, b)))
+    return tuple(out), tuple(pivots)
+
+
+def _int_row(row):
+    """Gaussian-integer parts (re, im) of a row, scaled by the lcm of its
+    denominators and divided by the gcd of the resulting parts."""
+    try:
+        re = [x.re for x in row]
+        im = [x.im for x in row]
+    except AttributeError:
+        # int or Fraction entries, which GQ() accepts
+        return _int_row([x if isinstance(x, GQ) else GQ(x) for x in row])
+    den = lcm(*[q.denominator for q in re], *[q.denominator for q in im])
+    return _primitive([q.numerator * (den // q.denominator) for q in re],
+                      [q.numerator * (den // q.denominator) for q in im])
+
+
+def _times_conj(a, b, p_re, p_im):
+    """The Gaussian-integer row (a, b) times conj(p_re + i*p_im)."""
+    return _primitive([x * p_re + y * p_im for x, y in zip(a, b)],
+                      [y * p_re - x * p_im for x, y in zip(a, b)])
+
+
+def _primitive(a, b):
+    """Divide the parts by their common integer gcd."""
+    g = gcd(*a, *b)
+    if g > 1:
+        a = [x // g for x in a]
+        b = [x // g for x in b]
+    return a, b
 
 
 def rank(rows) -> int:
@@ -149,17 +208,6 @@ def in_rowspace(red: Matrix, v: Vector) -> bool:
     return not any(w)
 
 
-def reduce_against(red: Matrix, v: Vector) -> Vector:
-    """Remainder of v after elimination by rref rows (zero iff member)."""
-    w = list(v)
-    for row in red:
-        c = next(i for i, x in enumerate(row) if x)
-        if w[c]:
-            f = w[c]
-            w = [x - f * y for x, y in zip(w, row)]
-    return tuple(w)
-
-
 def solve(a: Matrix, b: Vector):
     """One exact solution of A x = b, or None if inconsistent."""
     ncols = len(a[0]) if a else 0
@@ -180,7 +228,3 @@ def inverse(a: Matrix) -> Matrix:
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in red)
-
-
-def is_zero_mat(a: Matrix) -> bool:
-    return not any(any(row) for row in a)

@@ -27,6 +27,9 @@ class Subspace:
 
     dim: int
     basis: tuple
+    # orthocomplement, filled in by ortho(); a plain class attribute, not a
+    # field, so it stays out of ==, hash and repr
+    _ortho = None
 
     @staticmethod
     def from_vectors(dim: int, vectors) -> "Subspace":
@@ -65,9 +68,16 @@ def _check_dims(a: Subspace, b: Subspace):
 
 
 def ortho(a: Subspace) -> Subspace:
-    """Orthogonal complement under the Hermitian inner product."""
-    ns = la.nullspace(la.conj_mat(a.basis), a.dim)
-    return Subspace(a.dim, ns)
+    """Orthogonal complement under the Hermitian inner product.
+
+    The form is positive definite over Q[i], so ortho is an involution: the
+    result is cached on both subspaces, each pointing at the other."""
+    b = a._ortho
+    if b is None:
+        b = Subspace(a.dim, la.nullspace(la.conj_mat(a.basis), a.dim))
+        object.__setattr__(a, "_ortho", b)
+        object.__setattr__(b, "_ortho", a)
+    return b
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:

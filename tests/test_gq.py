@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,13 @@ def test_bool_and_hash():
     assert not ZERO
     assert ONE
     assert hash(GQ(1, 2)) == hash(GQ(Fraction(1), Fraction(2)))
+
+
+def test_pickle_round_trip():
+    x = GQ(Fraction(-3, 4), 2)
+    back = pickle.loads(pickle.dumps(x))
+    assert back == x and type(back.re) is Fraction
+    assert repr(back) == repr(x)
 
 
 def test_mixed_scalar_coercion():
