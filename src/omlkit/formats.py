@@ -17,7 +17,7 @@ from .quantifiers import UnaryMap
 from .cylindric import CylindricStructure
 from .frames import Orthoframe
 from .matrixalg import StarAlgebra, build_algebra
-from .subspaces import Subspace, TensorLayout
+from .subspaces import MAX_AMBIENT_DIM, Subspace, TensorLayout
 
 
 class FormatError(ValueError):
@@ -31,6 +31,15 @@ def _need(obj, key, kind=None):
     if kind is not None and not isinstance(v, kind):
         raise FormatError("field %r has the wrong type" % key)
     return v
+
+
+def _index(value, n, what):
+    """A JSON int in [0, n); bools, floats, strings and null are refused
+    rather than coerced."""
+    if type(value) is not int or not 0 <= value < n:
+        raise FormatError("%s must be an index in [0, %d), got %r"
+                          % (what, n, value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +137,7 @@ def _resolve_lattice(obj, base_dir, max_elements):
 def _load_map(L: FiniteOL, data) -> UnaryMap:
     if not isinstance(data, list) or len(data) != L.n:
         raise FormatError("map must list one image per element")
-    m = tuple(int(x) for x in data)
-    if any(not 0 <= x < L.n for x in m):
-        raise FormatError("map image out of range")
-    return UnaryMap(L, m)
+    return UnaryMap(L, tuple(_index(x, L.n, "map image") for x in data))
 
 
 def load_quantifier(obj, base_dir=None,
@@ -152,7 +158,11 @@ def load_cylindric(obj, base_dir=None,
     L = _resolve_lattice(obj, base_dir, max_elements)
     cyl = {}
     for key, data in _need(obj, "cylindrifications", dict).items():
-        cyl[int(key)] = _load_map(L, data)
+        try:
+            i = int(key)
+        except ValueError:
+            raise FormatError("cylindrification key %r is not an int" % key)
+        cyl[i] = _load_map(L, data)
     dims = tuple(sorted(cyl))
     diag = {}
     for key, val in _need(obj, "diagonals", dict).items():
@@ -160,9 +170,7 @@ def load_cylindric(obj, base_dir=None,
             i, j = (int(t) for t in key.split(","))
         except ValueError:
             raise FormatError("diagonal key %r is not 'i,j'" % key)
-        if not 0 <= int(val) < L.n:
-            raise FormatError("diagonal element out of range")
-        diag[(i, j)] = int(val)
+        diag[(i, j)] = _index(val, L.n, "diagonal %r" % key)
     for i in dims:
         for j in dims:
             if (i, j) not in diag:
@@ -290,10 +298,12 @@ def format_matrix(m) -> list:
 
 
 def load_algebra(obj) -> StarAlgebra:
-    """{"dim": d, "generators": [matrix, ...]}"""
-    n = int(_need(obj, "dim"))
-    if n < 1 or n * n > 256 * 256:
-        raise FormatError("dimension out of range")
+    """{"dim": d, "generators": [matrix, ...]}; the commutant solves for
+    d*d unknowns, so d*d is bounded by MAX_AMBIENT_DIM."""
+    n = _need(obj, "dim")
+    if type(n) is not int or n < 1 or n * n > MAX_AMBIENT_DIM:
+        raise FormatError("dim must be an int with 1 <= dim*dim <= %d, got %r"
+                          % (MAX_AMBIENT_DIM, n))
     gens = [parse_matrix(g, n) for g in _need(obj, "generators", list)]
     return build_algebra(n, gens)
 

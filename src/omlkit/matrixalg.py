@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg as la
 from .gq import GQ, ONE, ZERO
@@ -19,7 +20,11 @@ from .subspaces import Subspace, meet as sub_meet
 @dataclass(frozen=True)
 class StarAlgebra:
     """A unital *-subalgebra of the n x n matrices.  The basis matrices
-    flatten to reduced-echelon rows, so equal algebras compare equal."""
+    flatten to reduced-echelon rows, so equal algebras compare equal.
+
+    The flattened basis, the inverse Gram matrix and the commutant depend
+    only on the basis; each is computed on first use and kept on the
+    instance.  They are not fields, so they stay out of ==, hash and repr."""
 
     n: int
     basis: tuple  # matrices; flattened rows form an rref basis of the span
@@ -29,8 +34,38 @@ class StarAlgebra:
         return len(self.basis)
 
     def contains(self, x) -> bool:
-        red = tuple(la.flatten(b) for b in self.basis)
-        return la.in_rowspace(red, la.flatten(x))
+        return la.in_rowspace(self._flat, la.flatten(x))
+
+    @cached_property
+    def _flat(self) -> tuple:
+        """The basis matrices as flattened rows, in rref."""
+        return tuple(la.flatten(b) for b in self.basis)
+
+    @cached_property
+    def _gram_inverse(self):
+        """Inverse of the Gram matrix tr(b_i* b_j), from Frobenius products
+        of the flattened basis."""
+        flat = self._flat
+        return la.inverse(tuple(tuple(la.inner(u, v) for v in flat)
+                                for u in flat))
+
+    @cached_property
+    def _commutant(self) -> "StarAlgebra":
+        """All matrices commuting with every basis element, via one exact
+        nullspace computation on the flattened unknown."""
+        n = self.n
+        rows = []
+        for m in self.basis:
+            # (xm - mx)[i][j] = sum_k x[i][k] m[k][j] - m[i][k] x[k][j]
+            for i in range(n):
+                for j in range(n):
+                    row = [ZERO] * (n * n)
+                    for k in range(n):
+                        row[i * n + k] += m[k][j]
+                        row[k * n + j] -= m[i][k]
+                    rows.append(tuple(row))
+        ns = la.nullspace(rows, n * n)
+        return StarAlgebra(n, tuple(la.unflatten(v, n, n) for v in ns))
 
 
 def _span(n: int, mats) -> tuple:
@@ -51,21 +86,9 @@ def build_algebra(n: int, generators) -> StarAlgebra:
 
 
 def commutant(A: StarAlgebra) -> StarAlgebra:
-    """All matrices commuting with every element of A, via one exact
-    nullspace computation on the flattened unknown."""
-    n = A.n
-    rows = []
-    for m in A.basis:
-        # (xm - mx)[i][j] = sum_k x[i][k] m[k][j] - m[i][k] x[k][j]
-        for i in range(n):
-            for j in range(n):
-                row = [ZERO] * (n * n)
-                for k in range(n):
-                    row[i * n + k] += m[k][j]
-                    row[k * n + j] -= m[i][k]
-                rows.append(tuple(row))
-    ns = la.nullspace(rows, n * n)
-    return StarAlgebra(n, tuple(la.unflatten(v, n, n) for v in ns))
+    """All matrices commuting with every element of A; computed once per
+    algebra and kept on it."""
+    return A._commutant
 
 
 def is_double_commutant_closed(A: StarAlgebra) -> bool:
@@ -74,12 +97,7 @@ def is_double_commutant_closed(A: StarAlgebra) -> bool:
 
 def center(A: StarAlgebra) -> StarAlgebra:
     """A intersected with its commutant."""
-    c = commutant(A)
-    sa = Subspace.from_vectors(A.n * A.n, [la.flatten(m) for m in A.basis])
-    sc = Subspace.from_vectors(A.n * A.n, [la.flatten(m) for m in c.basis])
-    both = sub_meet(sa, sc)
-    return StarAlgebra(A.n, tuple(la.unflatten(v, A.n, A.n)
-                                  for v in both.basis))
+    return algebra_intersection(A, commutant(A))
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +162,12 @@ def central_carrier(A: StarAlgebra, p) -> tuple:
 
 def conditional_expectation(N: StarAlgebra, x) -> tuple:
     """The trace-orthogonal projection of x onto N: the unique n in N with
-    tr(b* n) = tr(b* x) for every b in N."""
+    tr(b* n) = tr(b* x) for every b in N.  Each tr(b* x) is the Frobenius
+    product of the flattened matrices, sum conj(b_ij) x_ij."""
     basis = N.basis
-    k = len(basis)
-    G = tuple(tuple(la.trace(la.matmul(la.adjoint(basis[i]), basis[j]))
-                    for j in range(k)) for i in range(k))
-    t = tuple(la.trace(la.matmul(la.adjoint(b), la.mat(x))) for b in basis)
-    coeffs = la.matvec(la.inverse(G), t)
+    flat_x = la.flatten(la.mat(x))
+    t = tuple(la.inner(b, flat_x) for b in N._flat)
+    coeffs = la.matvec(N._gram_inverse, t)
     out = la.zeros(N.n, N.n)
     for c, b in zip(coeffs, basis):
         out = la.add(out, la.scale(c, b))
@@ -302,9 +319,9 @@ def _matrix_units(n):
 
 
 def algebra_intersection(A: StarAlgebra, B: StarAlgebra) -> StarAlgebra:
-    sa = Subspace.from_vectors(A.n * A.n, [la.flatten(m) for m in A.basis])
-    sb = Subspace.from_vectors(A.n * A.n, [la.flatten(m) for m in B.basis])
-    both = sub_meet(sa, sb)
+    """The meet of the spans of A and B, as an algebra."""
+    d = A.n * A.n
+    both = sub_meet(Subspace(d, A._flat), Subspace(d, B._flat))
     return StarAlgebra(A.n, tuple(la.unflatten(v, A.n, A.n)
                                   for v in both.basis))
 

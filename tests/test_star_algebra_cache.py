@@ -1,0 +1,199 @@
+"""The derived data that each StarAlgebra keeps: its flattened basis, the
+inverse of its Gram matrix and its commutant."""
+
+import pickle
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import omlkit.linalg as la
+import omlkit.matrixalg as ma
+from omlkit.gq import GQ, ONE
+from omlkit.matrixalg import StarAlgebra
+from omlkit.subspaces import Subspace, meet
+
+
+def conditional_expectation_oracle(N, x):
+    """The Gram formula with one full matmul per trace, as E_N was first
+    written; kept here to check the Frobenius-product version against."""
+    basis = N.basis
+    k = len(basis)
+    G = tuple(tuple(la.trace(la.matmul(la.adjoint(basis[i]), basis[j]))
+                    for j in range(k)) for i in range(k))
+    t = tuple(la.trace(la.matmul(la.adjoint(b), la.mat(x))) for b in basis)
+    coeffs = la.matvec(la.inverse(G), t)
+    out = la.zeros(N.n, N.n)
+    for c, b in zip(coeffs, basis):
+        out = la.add(out, la.scale(c, b))
+    return out
+
+
+def _count(monkeypatch, name):
+    calls = []
+    real = getattr(la, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(la, name, counting)
+    return calls
+
+
+def _two_projection_algebra(n=3, seed=20):
+    rng = random.Random(seed)
+    gens = [ma.random_rank_one_projection(n, rng) for _ in range(2)]
+    return ma.build_algebra(n, gens), ma.random_rank_one_projection(n, rng)
+
+
+# Hypothesis strategies: small Gaussian-integer vectors and matrices
+
+
+_entry = st.builds(GQ, st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _vector(n):
+    return st.lists(_entry, min_size=n, max_size=n).filter(any)
+
+
+def _rank_one_projection(v):
+    outer = tuple(tuple(v[i] * v[j].conj() for j in range(len(v)))
+                  for i in range(len(v)))
+    return la.scale(ONE / la.inner(v, v), outer)
+
+
+@st.composite
+def algebra_and_inputs(draw):
+    """An algebra generated by one or two rank-one projections in M_2 or
+    M_3, a random matrix and a random rank-one projection."""
+    n = draw(st.sampled_from((2, 3)))
+    gens = [_rank_one_projection(draw(_vector(n)))
+            for _ in range(draw(st.integers(1, 2)))]
+    x = tuple(tuple(draw(_entry) for _ in range(n)) for _ in range(n))
+    p = _rank_one_projection(draw(_vector(n)))
+    return ma.build_algebra(n, gens), x, p
+
+
+# ---------------------------------------------------------------------------
+# computed once
+
+
+def test_commutant_is_computed_once(monkeypatch):
+    A, p = _two_projection_algebra()
+    calls = _count(monkeypatch, "nullspace")
+    C = ma.commutant(A)
+    assert ma.commutant(A) is C
+    ma.exists_alg(A, p)
+    ma.exists_alg(A, p)
+    ma.central_carrier(A, p)
+    assert ma.check_exists_equals_range_of_expectation(A, p)
+    assert len(calls) == 1
+    assert ma.is_double_commutant_closed(A)
+    assert ma.exists_fixed_points_are_commutant_projections(A, [p])
+    assert ma.commutant(C) is ma.commutant(C)
+    assert len(calls) == 2
+
+
+def test_gram_inverse_is_computed_once(monkeypatch):
+    A, p = _two_projection_algebra()
+    calls = _count(monkeypatch, "inverse")
+    first = ma.conditional_expectation(A, p)
+    assert ma.conditional_expectation(A, p) == first
+    ma.conditional_expectation(A, la.eye(3))
+    assert len(calls) == 1
+
+
+def test_cached_commutant_equals_fresh_computation():
+    A, _ = _two_projection_algebra()
+    C = ma.commutant(A)
+    assert C == ma.commutant(StarAlgebra(A.n, A.basis))
+    for c in C.basis:
+        for a in A.basis:
+            assert la.matmul(a, c) == la.matmul(c, a)
+    assert ma.commutant(C) == A
+
+
+def test_center_is_intersection_with_commutant():
+    A, _ = _two_projection_algebra()
+    d = A.n * A.n
+    flat = lambda B: [la.flatten(m) for m in B.basis]
+    both = meet(Subspace.from_vectors(d, flat(A)),
+                Subspace.from_vectors(d, flat(ma.commutant(A))))
+    assert [la.flatten(m) for m in ma.center(A).basis] == list(both.basis)
+    assert ma.center(A).dim == 2
+
+
+# ---------------------------------------------------------------------------
+# invisible to the value
+
+
+def test_cache_is_invisible_to_eq_hash_repr():
+    filled, p = _two_projection_algebra()
+    empty = StarAlgebra(filled.n, filled.basis)
+    ma.commutant(filled)
+    ma.conditional_expectation(filled, p)
+    assert filled.contains(p) == empty.contains(p)
+    assert {"_commutant", "_gram_inverse", "_flat"} <= set(vars(filled))
+    assert not {"_commutant", "_gram_inverse"} & set(vars(empty))
+    assert filled == empty
+    assert hash(filled) == hash(empty)
+    assert repr(filled) == repr(empty)
+    assert "_commutant" not in repr(filled)
+    assert len({filled, empty}) == 1
+
+
+def test_pickle_round_trip_keeps_value():
+    filled, p = _two_projection_algebra()
+    ma.commutant(ma.commutant(filled))
+    ma.conditional_expectation(filled, p)
+    for A in (filled, StarAlgebra(filled.n, filled.basis),
+              ma.diagonal_algebra(2)):
+        back = pickle.loads(pickle.dumps(A))
+        assert back == A
+        assert hash(back) == hash(A)
+        assert repr(back) == repr(A)
+        assert ma.commutant(back) == ma.commutant(A)
+        x = ma.random_rank_one_projection(A.n, random.Random(21))
+        assert ma.conditional_expectation(back, x) == \
+            conditional_expectation_oracle(A, x)
+        assert back.contains(ma.conditional_expectation(back, x))
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius-product expectation against the matmul oracle
+
+
+@settings(max_examples=40)
+@given(algebra_and_inputs())
+def test_expectation_matches_oracle(case):
+    N, x, p = case
+    for y in (x, p, la.eye(N.n)):
+        assert ma.conditional_expectation(N, y) == \
+            conditional_expectation_oracle(N, y)
+
+
+@settings(max_examples=15)
+@given(algebra_and_inputs())
+def test_expectation_properties_hold(case):
+    N, x, p = case
+    assert ma.check_expectation_properties(N, [x, p])
+
+
+def test_expectation_matches_oracle_on_random_projections():
+    rng = random.Random(22)
+    for n in (2, 3, 4):
+        N = ma.build_algebra(n, [ma.random_rank_one_projection(n, rng)
+                                 for _ in range(2)])
+        for _ in range(5):
+            p = ma.random_projection_in(ma.full_matrix_algebra(n), rng)
+            assert ma.conditional_expectation(N, p) == \
+                conditional_expectation_oracle(N, p)
+
+
+def test_expectation_accepts_int_and_fraction_entries():
+    N = ma.diagonal_algebra(2)
+    x = ((1, Fraction(1, 2)), (3, Fraction(-2, 3)))
+    assert ma.conditional_expectation(N, x) == \
+        conditional_expectation_oracle(N, x) == \
+        la.mat(((1, 0), (0, Fraction(-2, 3))))
