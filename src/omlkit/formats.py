@@ -42,6 +42,38 @@ def _index(value, n, what):
     return value
 
 
+def _key_index(text, n, what):
+    """An index written as text, as JSON object keys are: str(i) for an int
+    i in [0, n).  ' 1', '+1', '01' and '1_0' are refused, not coerced."""
+    try:
+        value = int(text)
+    except ValueError:  # not a number, or too many digits
+        value = text
+    # any other spelling of the int is passed on as text, which _index refuses
+    return _index(value if str(value) == text else text, n, what)
+
+
+def _key_pair(text, n, what):
+    """An 'i,j' key, each part a _key_index."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise FormatError("%s key %r is not 'i,j'" % (what, text))
+    return tuple(_key_index(t, n, "%s key part" % what) for t in parts)
+
+
+def _index_pair(pair, n, what):
+    """A JSON [i, j] list of two _index values."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise FormatError("%s entries must be [i, j] index pairs" % what)
+    return _index(pair[0], n, what), _index(pair[1], n, what)
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise FormatError("%s must be a list" % what)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -49,24 +81,21 @@ def _index(value, n, what):
 def load_lattice(obj, max_elements=lat.DEFAULT_MAX_ELEMENTS) -> FiniteOL:
     """{"elements": [...], "covers" or "leq": [[i,j]...], "ortho": [...]}"""
     labels = tuple(str(x) for x in _need(obj, "elements", list))
-    ortho = _need(obj, "ortho", list)
     n = len(labels)
+    ortho = tuple(_index(x, n, "ortho image")
+                  for x in _need(obj, "ortho", list))
     if sorted(ortho) != list(range(n)):
         raise FormatError("ortho must be a permutation of the indices")
     if "covers" in obj:
-        pairs, covers = obj["covers"], True
+        key, covers = "covers", True
     elif "leq" in obj:
-        pairs, covers = obj["leq"], False
+        key, covers = "leq", False
     else:
         raise FormatError("need either 'covers' or 'leq'")
+    pairs = [_index_pair(pair, n, "order pair")
+             for pair in _list(obj[key], key)]
     try:
-        pairs = [(int(i), int(j)) for i, j in pairs]
-    except (TypeError, ValueError):
-        raise FormatError("order pairs must be [i, j] index pairs")
-    if any(not (0 <= i < n and 0 <= j < n) for i, j in pairs):
-        raise FormatError("order pair index out of range")
-    try:
-        return lat.ol_from_leq(labels, pairs, tuple(ortho), covers=covers,
+        return lat.ol_from_leq(labels, pairs, ortho, covers=covers,
                                max_elements=max_elements)
     except lat.LatticeError as exc:
         raise FormatError(str(exc))
@@ -157,20 +186,15 @@ def load_cylindric(obj, base_dir=None,
     """Adds "cylindrifications": {"i": map} and "diagonals": {"i,j": e}."""
     L = _resolve_lattice(obj, base_dir, max_elements)
     cyl = {}
-    for key, data in _need(obj, "cylindrifications", dict).items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise FormatError("cylindrification key %r is not an int" % key)
-        cyl[i] = _load_map(L, data)
+    cyls = _need(obj, "cylindrifications", dict)
+    for key, data in cyls.items():
+        cyl[_key_index(key, len(cyls), "cylindrification key")] = \
+            _load_map(L, data)
     dims = tuple(sorted(cyl))
     diag = {}
     for key, val in _need(obj, "diagonals", dict).items():
-        try:
-            i, j = (int(t) for t in key.split(","))
-        except ValueError:
-            raise FormatError("diagonal key %r is not 'i,j'" % key)
-        diag[(i, j)] = _index(val, L.n, "diagonal %r" % key)
+        diag[_key_pair(key, len(cyls), "diagonal")] = \
+            _index(val, L.n, "diagonal %r" % key)
     for i in dims:
         for j in dims:
             if (i, j) not in diag:
@@ -228,39 +252,37 @@ def dump_subspace(layout: TensorLayout, s: Subspace) -> dict:
 
 def _pairs_to_rows(pairs, n, what):
     rows = [0] * n
-    for pair in pairs:
-        try:
-            i, j = (int(t) for t in pair)
-        except (TypeError, ValueError):
-            raise FormatError("%s entries must be [i, j] pairs" % what)
-        if not (0 <= i < n and 0 <= j < n):
-            raise FormatError("%s pair out of range" % what)
+    for pair in _list(pairs, what):
+        i, j = _index_pair(pair, n, what)
         rows[i] |= 1 << j
     return tuple(rows)
 
 
 def load_frame(obj):
     """{"points", "perp", "R", "D"} -> (frame, relations, diagonals);
-    relations and diagonals are empty dicts when absent."""
+    relations and diagonals are empty dicts when absent.  Relations are
+    keyed 0..k-1; diagonals, when given, must cover every pair of them."""
     points = tuple(str(p) for p in _need(obj, "points", list))
     n = len(points)
     F = Orthoframe(points, _pairs_to_rows(_need(obj, "perp", list), n,
                                           "perp"))
+    R = _need(obj, "R", dict) if "R" in obj else {}
     rels = {}
-    for key, pairs in obj.get("R", {}).items():
-        rels[int(key)] = _pairs_to_rows(pairs, n, "R[%s]" % key)
+    for key, pairs in R.items():
+        rels[_key_index(key, len(R), "R key")] = \
+            _pairs_to_rows(pairs, n, "R[%s]" % key)
+    D = _need(obj, "D", dict) if "D" in obj else {}
     diags = {}
-    for key, members in obj.get("D", {}).items():
-        try:
-            i, j = (int(t) for t in key.split(","))
-        except ValueError:
-            raise FormatError("diagonal key %r is not 'i,j'" % key)
+    for key, members in D.items():
         m = 0
-        for p in members:
-            if not 0 <= int(p) < n:
-                raise FormatError("diagonal point out of range")
-            m |= 1 << int(p)
-        diags[(i, j)] = m
+        for p in _list(members, "D[%s]" % key):
+            m |= 1 << _index(p, n, "diagonal point")
+        diags[_key_pair(key, len(R), "D")] = m
+    if diags:
+        for i in rels:
+            for j in rels:
+                if (i, j) not in diags:
+                    raise FormatError("missing diagonal %d,%d" % (i, j))
     return F, rels, diags
 
 

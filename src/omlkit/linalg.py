@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .gq import GQ, ZERO, ONE, _gq_of_fractions
 
@@ -56,13 +57,14 @@ def scale(c, a: Matrix) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(ra, cb)), ZERO)
-                       for cb in bt) for ra in a)
+    rows = [_den_row(ra) for ra in a]
+    cols = [_den_row(cb) for cb in transpose(b)]
+    return tuple(tuple(_dot(r, c) for c in cols) for r in rows)
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
+    dv = _den_row(v)
+    return tuple(_dot(_den_row(row), dv) for row in a)
 
 
 def trace(a: Matrix) -> GQ:
@@ -79,7 +81,19 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def inner(u: Vector, v: Vector) -> GQ:
     """Hermitian inner product, conjugate-linear in the first argument."""
-    return sum((x.conj() * y for x, y in zip(u, v)), ZERO)
+    den, re, im = _den_row(u)
+    return _dot((den, re, [-y for y in im]), _den_row(v))
+
+
+def _dot(r, c) -> GQ:
+    """sum r_k * c_k for rows in (den, re, im) form: one Gaussian-integer
+    sum, divided once by the product of the denominators."""
+    da, x, y = r
+    db, u, v = c
+    den = da * db
+    return _gq_of_fractions(
+        Fraction(sum(map(mul, x, u)) - sum(map(mul, y, v)), den),
+        Fraction(sum(map(mul, x, v)) + sum(map(mul, y, u)), den))
 
 
 def flatten(a: Matrix) -> Vector:
@@ -104,7 +118,7 @@ def rref(rows) -> tuple[Matrix, tuple[int, ...]]:
     so entries never outgrow the Q[i] ones.  Only the final pivot rows are
     divided by their pivots back into GQ, so the result is the same
     canonical rref as elimination over Q[i]."""
-    work = [_int_row(r) for r in rows]
+    work = [_primitive(*_den_row(r)[1:]) for r in rows]
     if not work:
         return (), ()
     nrows = len(work)
@@ -149,18 +163,18 @@ def rref(rows) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(out), tuple(pivots)
 
 
-def _int_row(row):
-    """Gaussian-integer parts (re, im) of a row, scaled by the lcm of its
-    denominators and divided by the gcd of the resulting parts."""
+def _den_row(row):
+    """(den, re, im): the lcm den of the entry denominators and the
+    Gaussian-integer parts of den * row, as lists of ints.  int and
+    Fraction entries are accepted as GQ() accepts them."""
     try:
         re = [x.re for x in row]
         im = [x.im for x in row]
     except AttributeError:
-        # int or Fraction entries, which GQ() accepts
-        return _int_row([x if isinstance(x, GQ) else GQ(x) for x in row])
+        return _den_row([x if isinstance(x, GQ) else GQ(x) for x in row])
     den = lcm(*[q.denominator for q in re], *[q.denominator for q in im])
-    return _primitive([q.numerator * (den // q.denominator) for q in re],
-                      [q.numerator * (den // q.denominator) for q in im])
+    return (den, [q.numerator * (den // q.denominator) for q in re],
+            [q.numerator * (den // q.denominator) for q in im])
 
 
 def _times_conj(a, b, p_re, p_im):

@@ -163,15 +163,12 @@ def central_carrier(A: StarAlgebra, p) -> tuple:
 def conditional_expectation(N: StarAlgebra, x) -> tuple:
     """The trace-orthogonal projection of x onto N: the unique n in N with
     tr(b* n) = tr(b* x) for every b in N.  Each tr(b* x) is the Frobenius
-    product of the flattened matrices, sum conj(b_ij) x_ij."""
-    basis = N.basis
+    product of the flattened matrices, sum conj(b_ij) x_ij, and n = sum c_k b_k
+    is one matvec with the flattened basis as columns."""
     flat_x = la.flatten(la.mat(x))
     t = tuple(la.inner(b, flat_x) for b in N._flat)
     coeffs = la.matvec(N._gram_inverse, t)
-    out = la.zeros(N.n, N.n)
-    for c, b in zip(coeffs, basis):
-        out = la.add(out, la.scale(c, b))
-    return out
+    return la.unflatten(la.matvec(la.transpose(N._flat), coeffs), N.n, N.n)
 
 
 def check_expectation_properties(N: StarAlgebra, samples) -> bool:

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
 
 from omlkit.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(*args):
@@ -142,3 +146,10 @@ def test_json_to_file(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["status"] == "pass"
     assert "input_sha256" in rep
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-m", "omlkit", "repro", "q6"],
+                         cwd=ROOT, env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

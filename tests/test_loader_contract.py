@@ -1,5 +1,6 @@
-"""Malformed dims and index fields are refused, never coerced: the loader
-raises FormatError and `omlkit check` exits 2 without a traceback."""
+"""Malformed dims, index fields and index keys are refused, never coerced:
+the loader raises FormatError and `omlkit check` exits 2 without a
+traceback."""
 
 import json
 from pathlib import Path
@@ -46,6 +47,34 @@ def _cylindric_key(bad):
     return obj
 
 
+def _lattice_pair(bad):
+    obj = _fixture("mo2_lattice.json")
+    obj["covers"][0] = bad
+    return obj
+
+
+def _lattice_ortho(bad):
+    obj = _fixture("mo2_lattice.json")
+    obj["ortho"] = [bad] + obj["ortho"][1:]
+    return obj
+
+
+def _frame(**fields):
+    obj = _fixture("frame_monadic.json")
+    obj.update(fields)
+    return obj
+
+
+def _frame_r(key="0", pairs=None):
+    pairs = _fixture("frame_monadic.json")["R"]["0"] if pairs is None \
+        else pairs
+    return _frame(R={key: pairs})
+
+
+def _frame_d(key="0,0", members=(0, 1, 2)):
+    return _frame(D={key: list(members)})
+
+
 CASES = {
     "dim-float": ("algebra", fo.load_algebra, _algebra(2.9)),
     "dim-bool": ("algebra", fo.load_algebra, _algebra(True)),
@@ -74,6 +103,48 @@ CASES = {
                                _cylindric_map(2.5)),
     "cylindrification-key": ("cylindric", fo.load_cylindric,
                              _cylindric_key("x")),
+    "cylindrification-key-signed": ("cylindric", fo.load_cylindric,
+                                    _cylindric_key("+0")),
+    "cylindrification-key-padded": ("cylindric", fo.load_cylindric,
+                                    _cylindric_key(" 0")),
+    "order-pair-float": ("lattice", fo.load_lattice, _lattice_pair([0.9, 1])),
+    "order-pair-string": ("lattice", fo.load_lattice, _lattice_pair(["0", 1])),
+    "order-pair-bool": ("lattice", fo.load_lattice, _lattice_pair([0, True])),
+    "order-pair-null": ("lattice", fo.load_lattice, _lattice_pair([None, 1])),
+    "order-pair-triple": ("lattice", fo.load_lattice,
+                          _lattice_pair([0, 1, 2])),
+    "order-pair-range": ("lattice", fo.load_lattice, _lattice_pair([0, 6])),
+    "order-pairs-not-list": ("lattice", fo.load_lattice,
+                             {**_fixture("mo2_lattice.json"), "covers": 5}),
+    "ortho-string": ("lattice", fo.load_lattice, _lattice_ortho("x")),
+    "ortho-float": ("lattice", fo.load_lattice, _lattice_ortho(5.0)),
+    "ortho-bool": ("lattice", fo.load_lattice, _lattice_ortho(False)),
+    "frame-r-key-string": ("frame", fo.load_frame, _frame_r(key="x")),
+    "frame-r-key-empty-pairs": ("frame", fo.load_frame,
+                                _frame_r(key="x", pairs=[])),
+    "frame-r-key-padded": ("frame", fo.load_frame, _frame_r(key="00")),
+    "frame-r-key-range": ("frame", fo.load_frame, _frame_r(key="1")),
+    "frame-r-not-object": ("frame", fo.load_frame, _frame(R=5)),
+    "frame-r-pairs-not-list": ("frame", fo.load_frame, _frame_r(pairs=5)),
+    "frame-r-pair-float": ("frame", fo.load_frame,
+                           _frame_r(pairs=[[0, 0], [1.5, 1]])),
+    "frame-perp-float": ("frame", fo.load_frame,
+                         _frame(perp=[[0.9, 1], [1, 0]])),
+    "frame-perp-bool": ("frame", fo.load_frame,
+                        _frame(perp=[[0, True], [1, 0]])),
+    "frame-perp-not-pair": ("frame", fo.load_frame, _frame(perp=[[0, 1, 2]])),
+    "frame-d-member-float": ("frame", fo.load_frame,
+                             _frame_d(members=[0, 1.0])),
+    "frame-d-member-range": ("frame", fo.load_frame, _frame_d(members=[3])),
+    "frame-d-members-not-list": ("frame", fo.load_frame,
+                                 _frame(D={"0,0": 3})),
+    "frame-d-key-float": ("frame", fo.load_frame, _frame_d(key="0.5,0")),
+    "frame-d-key-single": ("frame", fo.load_frame, _frame_d(key="0")),
+    "frame-d-key-range": ("frame", fo.load_frame, _frame_d(key="0,1")),
+    "frame-d-missing-diagonal": ("frame", fo.load_frame,
+                                 _frame(R={"0": [[0, 0], [1, 1], [2, 2]],
+                                           "1": [[0, 0], [1, 1], [2, 2]]},
+                                        D={"0,0": [0, 1, 2]})),
 }
 _PARAMS = pytest.mark.parametrize("kind, loader, obj", list(CASES.values()),
                                   ids=list(CASES))
@@ -116,3 +187,10 @@ def test_valid_index_fields_still_load():
     assert e.map == tuple(_fixture("quantifier_mo2.json")["map"])
     C = fo.load_cylindric(_fixture("classical_cylindric_2x2.json"))
     assert C.diagonals[(0, 1)] == 9
+
+
+def test_valid_frames_still_load():
+    F, rels, diags = fo.load_frame(_fixture("frame_monadic.json"))
+    assert set(rels) == {0} and diags == {}
+    F, rels, diags = fo.load_frame(_frame_d())
+    assert diags == {(0, 0): 0b111}
