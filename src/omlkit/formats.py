@@ -226,8 +226,12 @@ def load_subspace(obj):
     """{"factors": [d1,...], "basis": [[scalar,...],...]} with row-major
     coordinates; returns (layout, subspace)."""
     factors = _need(obj, "factors", list)
+    for d in factors:
+        # 2.7, true and "2" are refused, not read as 2, 1 and 2
+        if type(d) is not int or d < 1:
+            raise FormatError("factors must be positive ints, got %r" % (d,))
     try:
-        layout = TensorLayout(tuple(int(d) for d in factors))
+        layout = TensorLayout(tuple(factors))
     except ValueError as exc:
         raise FormatError(str(exc))
     rows = _need(obj, "basis", list)

@@ -20,16 +20,38 @@ from .quantifiers import UnaryMap
 MAX_AMBIENT_DIM = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of GQ^dim; basis rows are in canonical reduced echelon
     form, so equality of Subspace values is equality of subspaces."""
 
     dim: int
     basis: tuple
-    # orthocomplement, filled in by ortho(); a plain class attribute, not a
-    # field, so it stays out of ==, hash and repr
+    # orthocomplement, filled in by ortho(), and identity key, filled in by
+    # _ident(); plain class attributes, not fields, so they stay out of
+    # ==, hash and repr
     _ortho = None
+    _key = None
+
+    def _ident(self) -> tuple:
+        """dim and the canonical Gaussian-integer form (den, re, im) of
+        each basis row: equal exactly when dim and basis are equal, and
+        compared and hashed as ints instead of Fractions."""
+        key = self._key
+        if key is None:
+            key = (self.dim, tuple(
+                (den, tuple(re), tuple(im))
+                for den, re, im in map(la._den_row, self.basis)))
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self._ident() == other._ident()
+
+    def __hash__(self):
+        return hash(self._ident())
 
     @staticmethod
     def from_vectors(dim: int, vectors) -> "Subspace":
@@ -399,9 +421,11 @@ def check_basis_independence(layout: TensorLayout, factor: int, u,
 
 def as_cylindric_structure(layout: TensorLayout, generators,
                            max_closure: int = 128):
-    """Close generators and all diagonals under meet, join, ortho and every
+    """Close generators and all diagonals under join, ortho and every
     one-factor quantifier; package the finite sub-ortholattice for the
-    cylindric axiom checkers.
+    cylindric axiom checkers.  A set closed under join and ortho is closed
+    under meet = ortho(join(ortho a, ortho b)), so the meet table is read
+    off the other two by De Morgan.
 
     Returns (structure, subspace_list); element i of the lattice is
     subspace_list[i].
@@ -431,7 +455,6 @@ def as_cylindric_structure(layout: TensorLayout, generators,
 
     # every op result is cached by insertion index so the final tables are
     # pure lookups; the pair loop touches each unordered pair exactly once
-    meet_memo = {}
     join_memo = {}
     ortho_memo = {}
     exists_memo = {}
@@ -444,7 +467,6 @@ def as_cylindric_structure(layout: TensorLayout, generators,
         for f in dims:
             exists_memo[(f, i)] = push(exists_factor(layout, f, a))
         for j in range(i + 1):
-            meet_memo[(j, i)] = push(meet(a, closure[j]))
             join_memo[(j, i)] = push(join(a, closure[j]))
         i += 1
 
@@ -453,14 +475,13 @@ def as_cylindric_structure(layout: TensorLayout, generators,
         tuple((x.re, x.im) for row in closure[k].basis for x in row)))
     new_of_old = {old: new for new, old in enumerate(perm)}
 
-    def mlook(memo, a, b):
-        return new_of_old[memo[(min(a, b), max(a, b))]]
-
     ordered = [closure[k] for k in perm]
     labels = tuple("S%d(r%d)" % (k, s.rank) for k, s in enumerate(ordered))
-    meet_t = tuple(tuple(mlook(meet_memo, a, b) for b in perm) for a in perm)
-    join_t = tuple(tuple(mlook(join_memo, a, b) for b in perm) for a in perm)
+    join_t = tuple(tuple(new_of_old[join_memo[(min(a, b), max(a, b))]]
+                         for b in perm) for a in perm)
     ortho_t = tuple(new_of_old[ortho_memo[a]] for a in perm)
+    meet_t = tuple(tuple(ortho_t[join_t[ortho_t[a]][ortho_t[b]]]
+                         for b in range(len(perm))) for a in range(len(perm)))
     closure = ordered
     index = {s: k for k, s in enumerate(closure)}
     L = FiniteOL(labels, meet_t, join_t, ortho_t,

@@ -1,0 +1,96 @@
+"""Test-only oracle: the tensor closure as first written.
+
+as_cylindric_structure here closes its start set under meet, join, ortho
+and every one-factor quantifier, computing meet pair by pair.
+omlkit.subspaces.as_cylindric_structure reads the meet table off join and
+ortho by De Morgan; both must give the same structure and the same element
+order, and must refuse the same generators at the size guard.
+"""
+
+from __future__ import annotations
+
+from omlkit.cylindric import CylindricStructure
+from omlkit.lattice import FiniteOL, SizeGuardError
+from omlkit.quantifiers import UnaryMap
+from omlkit.subspaces import (Subspace, TensorLayout, diagonal, exists_factor,
+                              join, meet, ortho)
+
+
+def as_cylindric_structure(layout: TensorLayout, generators,
+                           max_closure: int = 128):
+    """Close generators and all diagonals under meet, join, ortho and every
+    one-factor quantifier; package the finite sub-ortholattice for the
+    cylindric axiom checkers.
+
+    Returns (structure, subspace_list); element i of the lattice is
+    subspace_list[i].
+    """
+    dims = tuple(range(layout.n))
+    start = [Subspace.zero(layout.dim), Subspace.full(layout.dim)]
+    for i in dims:
+        for j in dims:
+            dsub = diagonal(layout, (i, j)) if i != j \
+                else Subspace.full(layout.dim)
+            if dsub not in start:
+                start.append(dsub)
+    for g in generators:
+        if g not in start:
+            start.append(g)
+    closure = []
+    seen = {}
+
+    def push(x):
+        if x not in seen:
+            seen[x] = len(closure)
+            closure.append(x)
+            if len(closure) > max_closure:
+                raise SizeGuardError(
+                    "closure exceeded %d subspaces" % max_closure)
+        return seen[x]
+
+    # every op result is cached by insertion index so the final tables are
+    # pure lookups; the pair loop touches each unordered pair exactly once
+    meet_memo = {}
+    join_memo = {}
+    ortho_memo = {}
+    exists_memo = {}
+    for x in start:
+        push(x)
+    i = 0
+    while i < len(closure):
+        a = closure[i]
+        ortho_memo[i] = push(ortho(a))
+        for f in dims:
+            exists_memo[(f, i)] = push(exists_factor(layout, f, a))
+        for j in range(i + 1):
+            meet_memo[(j, i)] = push(meet(a, closure[j]))
+            join_memo[(j, i)] = push(join(a, closure[j]))
+        i += 1
+
+    perm = sorted(range(len(closure)), key=lambda k: (
+        closure[k].rank,
+        tuple((x.re, x.im) for row in closure[k].basis for x in row)))
+    new_of_old = {old: new for new, old in enumerate(perm)}
+
+    def mlook(memo, a, b):
+        return new_of_old[memo[(min(a, b), max(a, b))]]
+
+    ordered = [closure[k] for k in perm]
+    labels = tuple("S%d(r%d)" % (k, s.rank) for k, s in enumerate(ordered))
+    meet_t = tuple(tuple(mlook(meet_memo, a, b) for b in perm) for a in perm)
+    join_t = tuple(tuple(mlook(join_memo, a, b) for b in perm) for a in perm)
+    ortho_t = tuple(new_of_old[ortho_memo[a]] for a in perm)
+    closure = ordered
+    index = {s: k for k, s in enumerate(closure)}
+    L = FiniteOL(labels, meet_t, join_t, ortho_t,
+                 index[Subspace.zero(layout.dim)],
+                 index[Subspace.full(layout.dim)])
+    cyl = {i: UnaryMap(L, tuple(new_of_old[exists_memo[(i, a)]]
+                                for a in perm)) for i in dims}
+    diag = {}
+    for i in dims:
+        for j in dims:
+            dsub = diagonal(layout, (i, j)) if i != j \
+                else Subspace.full(layout.dim)
+            diag[(i, j)] = index[dsub]
+    return CylindricStructure(L, dims, cyl, diag), closure

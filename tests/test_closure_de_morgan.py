@@ -1,0 +1,137 @@
+"""The tensor closure and its De Morgan meet table.
+
+subspaces.as_cylindric_structure closes under join, ortho and the
+one-factor quantifiers and reads meet off join and ortho by De Morgan;
+closure_oracle.as_cylindric_structure computes every meet pair by pair.
+Both must give the same structure, element for element, and refuse the
+same generators at the size guard.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+import omlkit.formats as fo
+import omlkit.linalg as la
+import omlkit.subspaces as sp
+from omlkit.gq import GQ, ZERO
+from omlkit.lattice import SizeGuardError
+from omlkit.subspaces import Subspace, TensorLayout
+from closure_oracle import as_cylindric_structure as oracle_closure
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+LAYOUT = TensorLayout((2, 2))
+
+
+def _line(layout, coefficients):
+    """The line spanned by sum c * e_idx over {idx: c}."""
+    v = [ZERO] * layout.dim
+    for idx, c in coefficients.items():
+        v[layout.index(idx)] = c if isinstance(c, GQ) else GQ(c)
+    return Subspace.from_vectors(layout.dim, [tuple(v)])
+
+
+def _c5_line(layout):
+    return _line(layout, {(0, 1): 1, (1, 0): 1})
+
+
+BELL_LINES = {
+    "phi+": {(0, 0): 1, (1, 1): 1},
+    "phi-": {(0, 0): 1, (1, 1): -1},
+    "psi-": {(0, 1): 1, (1, 0): -1},
+    "phi+i": {(0, 0): 1, (1, 1): GQ(0, 1)},
+    "phi-uneven": {(0, 0): 1, (1, 1): 2},
+}
+
+
+def _seeded_subspaces():
+    """Gaussian-integer lines and 3-spaces in C^2 (x) C^2, by seed."""
+    out = []
+    for seed in range(12):
+        rng = random.Random("closure-diff:%d" % seed)
+        rank = 1 if seed % 2 == 0 else 3
+        rows = [[GQ(rng.randint(-2, 2), rng.randint(-2, 2))
+                 for _ in range(LAYOUT.dim)] for _ in range(rank)]
+        out.append(("seed%d-rank%d" % (seed, rank),
+                    Subspace.from_vectors(LAYOUT.dim, rows)))
+    return out
+
+
+GENERATORS = ([("none", []), ("c5-line", [_c5_line(LAYOUT)])]
+              + [(name, [_line(LAYOUT, c)]) for name, c in BELL_LINES.items()]
+              + [(name, [s]) for name, s in _seeded_subspaces()])
+
+
+def _closure_or_guard(build, gens):
+    try:
+        return build(LAYOUT, gens)
+    except SizeGuardError as exc:
+        return str(exc)
+
+
+def _tables(C):
+    L = C.base
+    return (L.labels, L.meet_t, L.join_t, L.ortho_t, L.zero, L.one, C.dims,
+            {i: m.map for i, m in C.cylindrifications.items()}, C.diagonals)
+
+
+@pytest.mark.parametrize("gens", [g for _, g in GENERATORS],
+                         ids=[name for name, _ in GENERATORS])
+def test_closure_equals_oracle(gens):
+    got = _closure_or_guard(sp.as_cylindric_structure, gens)
+    want = _closure_or_guard(oracle_closure, gens)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    (C, subs), (C0, subs0) = got, want
+    assert subs == subs0
+    assert _tables(C) == _tables(C0)
+    assert json.dumps(fo.dump_cylindric(C), sort_keys=True) == \
+        json.dumps(fo.dump_cylindric(C0), sort_keys=True)
+
+
+def test_seeded_generators_reach_both_outcomes():
+    outcomes = {isinstance(_closure_or_guard(sp.as_cylindric_structure, g),
+                           str) for _, g in GENERATORS}
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", ["none", "c5-line", "phi+i", "seed1-rank3"])
+def test_meet_table_is_the_meet_of_subspaces(name):
+    gens = dict(GENERATORS)[name]
+    C, subs = sp.as_cylindric_structure(LAYOUT, gens)
+    index = {s: k for k, s in enumerate(subs)}
+    for a, x in enumerate(subs):
+        for b, y in enumerate(subs):
+            assert C.base.meet_t[a][b] == index[sp.meet(x, y)]
+
+
+def test_tensor33_closure_rebuilds_fixture_byte_for_byte():
+    layout = TensorLayout((3, 3))
+    C, subs = sp.as_cylindric_structure(layout, [_c5_line(layout)])
+    assert len(subs) == 96
+    text = json.dumps(fo.dump_cylindric(C), sort_keys=True)
+    assert text == (FIXTURES / "tensor33_cylindric.json").read_text()
+
+
+def test_closure_work_counters(monkeypatch):
+    # the 8-element closure takes five nullspaces, all in ortho; the pairwise
+    # meet loop took 41, so a return to it fails here without a timing check
+    nullspace_calls = []
+    real_nullspace = la.nullspace
+
+    def counting_nullspace(rows, ncols):
+        nullspace_calls.append(ncols)
+        return real_nullspace(rows, ncols)
+
+    def no_meet(a, b):
+        raise AssertionError("as_cylindric_structure called meet")
+
+    monkeypatch.setattr(la, "nullspace", counting_nullspace)
+    monkeypatch.setattr(sp, "meet", no_meet)
+    C, subs = sp.as_cylindric_structure(LAYOUT, [_c5_line(LAYOUT)])
+    assert len(subs) == 8
+    assert len(nullspace_calls) == 5
