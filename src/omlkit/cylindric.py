@@ -30,9 +30,8 @@ class CylindricStructure:
 
 
 @dataclass
-class CylindricReport:
-    mode: str
-    status: dict  # axiom name -> (ok, witness or None)
+class CheckReport:
+    status: dict  # axiom or condition name -> (ok, witness or None)
 
     @property
     def ok(self) -> bool:
@@ -42,7 +41,7 @@ class CylindricReport:
         return sorted(k for k, v in self.status.items() if not v[0])
 
 
-def check_cylindric(C: CylindricStructure, mode: str = "weak") -> CylindricReport:
+def check_cylindric(C: CylindricStructure, mode: str = "weak") -> CheckReport:
     """C1-C4 (weak) plus C5 (full), exhaustive over indices and elements."""
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
@@ -99,7 +98,7 @@ def check_cylindric(C: CylindricStructure, mode: str = "weak") -> CylindricRepor
                         record("C5", False, (i, j, x))
                         break
         st.setdefault("C5", (True, None))
-    return CylindricReport(mode, st)
+    return CheckReport(st)
 
 
 def classical_cyl_set_algebra(X, I, *, max_elements=lat.DEFAULT_MAX_ELEMENTS

@@ -87,15 +87,15 @@ def load_lattice(obj, max_elements=lat.DEFAULT_MAX_ELEMENTS) -> FiniteOL:
     if sorted(ortho) != list(range(n)):
         raise FormatError("ortho must be a permutation of the indices")
     if "covers" in obj:
-        key, covers = "covers", True
+        key = "covers"
     elif "leq" in obj:
-        key, covers = "leq", False
+        key = "leq"
     else:
         raise FormatError("need either 'covers' or 'leq'")
     pairs = [_index_pair(pair, n, "order pair")
              for pair in _list(obj[key], key)]
     try:
-        return lat.ol_from_leq(labels, pairs, ortho, covers=covers,
+        return lat.ol_from_leq(labels, pairs, ortho,
                                max_elements=max_elements)
     except lat.LatticeError as exc:
         raise FormatError(str(exc))

@@ -10,8 +10,8 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .lattice import DEFAULT_MAX_ELEMENTS, FiniteOL, SizeGuardError
-from .cylindric import CylindricStructure
+from .lattice import DEFAULT_MAX_ELEMENTS, FiniteOL, close
+from .cylindric import CheckReport, CylindricStructure
 from .quantifiers import UnaryMap
 
 
@@ -38,19 +38,7 @@ def _bits(mask: int):
         i += 1
 
 
-@dataclass
-class FrameReport:
-    status: dict  # condition -> (ok, witness or None)
-
-    @property
-    def ok(self) -> bool:
-        return all(v[0] for v in self.status.values())
-
-    def failed(self):
-        return sorted(k for k, v in self.status.items() if not v[0])
-
-
-def validate_orthoframe(F: Orthoframe) -> FrameReport:
+def validate_orthoframe(F: Orthoframe) -> CheckReport:
     st = {"irreflexive": (True, None), "symmetric": (True, None)}
     for i in range(F.n):
         if F.perp[i] >> i & 1:
@@ -61,7 +49,7 @@ def validate_orthoframe(F: Orthoframe) -> FrameReport:
             if (F.perp[i] >> j & 1) != (F.perp[j] >> i & 1):
                 st["symmetric"] = (False, (i, j))
                 break
-    return FrameReport(st)
+    return CheckReport(st)
 
 
 def orthocomplement(F: Orthoframe, a: int) -> int:
@@ -78,20 +66,8 @@ def biortho(F: Orthoframe, a: int) -> int:
 def closed_sets(F: Orthoframe, max_elements: int = DEFAULT_MAX_ELEMENTS):
     """All biorthogonally closed subsets: intersections of point
     orthocomplements, plus the full set."""
-    family = {F.full}
-    frontier = [F.full]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for i in range(F.n):
-                t = s & F.perp[i]
-                if t not in family:
-                    family.add(t)
-                    nxt.append(t)
-                    if len(family) > max_elements:
-                        raise SizeGuardError(
-                            "more than %d closed sets" % max_elements)
-        frontier = nxt
+    family, _ = close([F.full], [p.__and__ for p in F.perp],
+                      limit=max_elements, what="closed sets")
     return sorted(family, key=lambda m: (bin(m).count("1"), m))
 
 
@@ -145,7 +121,7 @@ def is_transitive(R, n: int) -> bool:
     return True
 
 
-def check_monadic_frame(F: Orthoframe, R) -> FrameReport:
+def check_monadic_frame(F: Orthoframe, R) -> CheckReport:
     """M1: orthogonality relation, M2: preorder, M3: every R[{x}]-ortho is
     closed under R."""
     st = {}
@@ -165,7 +141,7 @@ def check_monadic_frame(F: Orthoframe, R) -> FrameReport:
         if image(R, s) & ~s:
             st["M3"] = (False, x)
             break
-    return FrameReport(st)
+    return CheckReport(st)
 
 
 def check_closure_lemma(F: Orthoframe, R, subsets=None,
@@ -278,7 +254,7 @@ def relations_commute(Ri, Rj, n: int) -> bool:
 
 
 def check_weak_cylindric_frame(F: Orthoframe, rels: dict,
-                               diags: dict) -> FrameReport:
+                               diags: dict) -> CheckReport:
     """W1: each (X, perp, R_i) monadic; W2: the relations commute in
     pairs; W3: diagonals symmetric, closed, full on the diagonal pair;
     W4: R_j[D_ij n D_jk] = D_ik for j distinct from i, k."""
@@ -309,7 +285,7 @@ def check_weak_cylindric_frame(F: Orthoframe, rels: dict,
         if image(rels[j], diags[(i, j)] & diags[(j, k)]) != diags[(i, k)]:
             st.setdefault("W4", (False, (i, j, k)))
     st.setdefault("W4", (True, None))
-    return FrameReport(st)
+    return CheckReport(st)
 
 
 def cylindric_closed_set_structure(F: Orthoframe, rels: dict, diags: dict,

@@ -93,13 +93,14 @@ def _transitive_closure(rel, n):
     return rel
 
 
-def ol_from_leq(labels, leq_pairs, ortho, *, covers=False,
+def ol_from_leq(labels, leq_pairs, ortho, *,
                 max_elements=DEFAULT_MAX_ELEMENTS):
     """Build a FiniteOL from an order relation given as index pairs.
 
-    With covers=True the pairs are read as a Hasse diagram and closed
-    transitively.  Raises LatticeError when the relation is not a lattice
-    order with global bounds, naming a witness pair.
+    The pairs may be covers (a Hasse diagram) or the full order: either
+    way they are closed reflexively and transitively.  Raises LatticeError
+    when the relation is not a lattice order with global bounds, naming a
+    witness pair.
     """
     n = len(labels)
     if n == 0:
@@ -165,8 +166,7 @@ def ol_from_leq(labels, leq_pairs, ortho, *, covers=False,
                     zero, one)
 
 
-def ol_from_covers(labels, cover_pairs, ortho, **kw):
-    return ol_from_leq(labels, cover_pairs, ortho, covers=True, **kw)
+ol_from_covers = ol_from_leq
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +256,41 @@ def is_distributive_subset(L: FiniteOL, elems) -> bool:
     return True
 
 
+def close(start, unary=(), binary=(), limit=None, what="elements"):
+    """The least superset of start closed under the given operations.
+
+    A worklist: each element is visited once, in discovery order, and each
+    unordered pair once, as op(elems[i], elems[j]) with j <= i.  Returns
+    (elems, tables), one table per op, unary ops first: tables[k][i] is
+    the index of unary op k on element i, and a binary op's table maps
+    (j, i) to the index of its result.  Raises SizeGuardError as soon as
+    more than limit elements are held.
+    """
+    elems, index = [], {}
+
+    def push(x):
+        if x not in index:
+            index[x] = len(elems)
+            elems.append(x)
+            if limit is not None and len(elems) > limit:
+                raise SizeGuardError("closure exceeded %d %s" % (limit, what))
+        return index[x]
+
+    for x in start:
+        push(x)
+    tables = [[] for _ in unary] + [{} for _ in binary]
+    for i, a in enumerate(elems):  # elems grows while it is walked
+        for op, tab in zip(unary, tables):
+            tab.append(push(op(a)))
+        for op, tab in zip(binary, tables[len(unary):]):
+            for j in range(i + 1):
+                tab[(j, i)] = push(op(a, elems[j]))
+    return elems, tables
+
+
 def subalgebra_closure(L: FiniteOL, seed) -> frozenset:
-    cur = set(seed) | {L.zero, L.one}
-    while True:
-        new = set()
-        for x in cur:
-            o = L.ortho(x)
-            if o not in cur:
-                new.add(o)
-        for x in cur:
-            for y in cur:
-                m, j = L.meet(x, y), L.join(x, y)
-                if m not in cur:
-                    new.add(m)
-                if j not in cur:
-                    new.add(j)
-        if not new:
-            return frozenset(cur)
-        cur |= new
+    elems, _ = close([L.zero, L.one, *seed], [L.ortho], [L.meet, L.join])
+    return frozenset(elems)
 
 
 def is_subalgebra(L: FiniteOL, elems) -> bool:
@@ -291,18 +308,12 @@ def is_subalgebra(L: FiniteOL, elems) -> bool:
 
 def all_subalgebras(L: FiniteOL):
     """Every subalgebra of L, found by closure-driven search."""
-    start = subalgebra_closure(L, ())
-    seen = {start}
-    queue = [start]
-    while queue:
-        s = queue.pop()
-        for x in L.elements():
-            if x not in s:
-                t = subalgebra_closure(L, s | {x})
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    def adjoin(x):
+        return lambda s: s if x in s else subalgebra_closure(L, s | {x})
+
+    subs, _ = close([subalgebra_closure(L, ())],
+                    [adjoin(x) for x in L.elements()])
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
 def blocks(L: FiniteOL):
@@ -329,10 +340,6 @@ def blocks(L: FiniteOL):
     bron_kerbosch(set(), set(range(n)), set())
     result = [c for c in cliques if is_subalgebra(L, c)
               and is_distributive_subset(L, c)]
-    # drop any clique properly contained in another (defensive; cliques are
-    # maximal already)
-    result = [c for c in result
-              if not any(c < d for d in result)]
     return sorted(result, key=lambda s: sorted(s))
 
 
@@ -349,14 +356,8 @@ def foulis_holland_check(L: FiniteOL, x: int, y: int, z: int) -> FoulisHollandRe
     pre = any(all(commutes(L, a, b) and commutes(L, b, a)
                   for b in trip if b != a)
               for a in trip)
-    cur = {x, y, z}
-    while True:
-        new = {L.meet(a, b) for a in cur for b in cur} | \
-              {L.join(a, b) for a in cur for b in cur}
-        if new <= cur:
-            break
-        cur |= new
-    return FoulisHollandResult(pre, is_distributive_subset(L, cur))
+    sub, _ = close(trip, binary=[L.meet, L.join])
+    return FoulisHollandResult(pre, is_distributive_subset(L, sub))
 
 
 # ---------------------------------------------------------------------------

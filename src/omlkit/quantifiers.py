@@ -167,13 +167,6 @@ def check_lemma_q6_boolean(B: FiniteOL, e: UnaryMap) -> bool:
 # p-ideals and congruences
 
 
-@dataclass
-class PIdeal:
-    base: FiniteOL
-    members: frozenset
-    closed_under_exists: bool
-
-
 def is_p_ideal(L: FiniteOL, members, e: UnaryMap | None = None):
     """Check the ideal conditions; returns (ok, witness, exists_closed)."""
     I = frozenset(members)

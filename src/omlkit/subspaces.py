@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import comb, prod
 
 from . import linalg as la
 from .gq import GQ, ONE, ZERO
-from .lattice import FiniteOL, SizeGuardError
+from .lattice import FiniteOL, SizeGuardError, close
 from .cylindric import CylindricStructure
 from .quantifiers import UnaryMap
 
@@ -431,44 +432,14 @@ def as_cylindric_structure(layout: TensorLayout, generators,
     subspace_list[i].
     """
     dims = tuple(range(layout.n))
-    start = [Subspace.zero(layout.dim), Subspace.full(layout.dim)]
-    for i in dims:
-        for j in dims:
-            dsub = diagonal(layout, (i, j)) if i != j \
-                else Subspace.full(layout.dim)
-            if dsub not in start:
-                start.append(dsub)
-    for g in generators:
-        if g not in start:
-            start.append(g)
-    closure = []
-    seen = {}
-
-    def push(x):
-        if x not in seen:
-            seen[x] = len(closure)
-            closure.append(x)
-            if len(closure) > max_closure:
-                raise SizeGuardError(
-                    "closure exceeded %d subspaces" % max_closure)
-        return seen[x]
-
-    # every op result is cached by insertion index so the final tables are
-    # pure lookups; the pair loop touches each unordered pair exactly once
-    join_memo = {}
-    ortho_memo = {}
-    exists_memo = {}
-    for x in start:
-        push(x)
-    i = 0
-    while i < len(closure):
-        a = closure[i]
-        ortho_memo[i] = push(ortho(a))
-        for f in dims:
-            exists_memo[(f, i)] = push(exists_factor(layout, f, a))
-        for j in range(i + 1):
-            join_memo[(j, i)] = push(join(a, closure[j]))
-        i += 1
+    start = [Subspace.zero(layout.dim), Subspace.full(layout.dim),
+             *(diagonal(layout, (i, j)) for i in dims for j in dims),
+             *generators]
+    # the ops are looked up on each call, so wrappers put on this module's
+    # ortho, join or exists_factor see every call the closure makes
+    closure, (ortho_memo, *exists_memo, join_memo) = close(
+        start, [ortho] + [partial(exists_factor, layout, f) for f in dims],
+        [join], limit=max_closure, what="subspaces")
 
     perm = sorted(range(len(closure)), key=lambda k: (
         closure[k].rank,
@@ -487,12 +458,8 @@ def as_cylindric_structure(layout: TensorLayout, generators,
     L = FiniteOL(labels, meet_t, join_t, ortho_t,
                  index[Subspace.zero(layout.dim)],
                  index[Subspace.full(layout.dim)])
-    cyl = {i: UnaryMap(L, tuple(new_of_old[exists_memo[(i, a)]]
+    cyl = {i: UnaryMap(L, tuple(new_of_old[exists_memo[i][a]]
                                 for a in perm)) for i in dims}
-    diag = {}
-    for i in dims:
-        for j in dims:
-            dsub = diagonal(layout, (i, j)) if i != j \
-                else Subspace.full(layout.dim)
-            diag[(i, j)] = index[dsub]
+    diag = {(i, j): index[diagonal(layout, (i, j))]
+            for i in dims for j in dims}
     return CylindricStructure(L, dims, cyl, diag), closure

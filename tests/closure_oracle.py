@@ -1,16 +1,23 @@
-"""Test-only oracle: the tensor closure as first written.
+"""Test-only oracles: closures as first written, each with its own loop.
 
 as_cylindric_structure here closes its start set under meet, join, ortho
 and every one-factor quantifier, computing meet pair by pair.
 omlkit.subspaces.as_cylindric_structure reads the meet table off join and
 ortho by De Morgan; both must give the same structure and the same element
 order, and must refuse the same generators at the size guard.
+
+subalgebra_closure, all_subalgebras, foulis_holland_check and closed_sets
+are the round-based and frontier loops that omlkit.lattice.close replaced;
+they must give the same sets and refuse the same frames.
 """
 
 from __future__ import annotations
 
 from omlkit.cylindric import CylindricStructure
-from omlkit.lattice import FiniteOL, SizeGuardError
+from omlkit.frames import Orthoframe
+from omlkit.lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL,
+                            FoulisHollandResult, SizeGuardError, commutes,
+                            is_distributive_subset)
 from omlkit.quantifiers import UnaryMap
 from omlkit.subspaces import (Subspace, TensorLayout, diagonal, exists_factor,
                               join, meet, ortho)
@@ -94,3 +101,76 @@ def as_cylindric_structure(layout: TensorLayout, generators,
                 else Subspace.full(layout.dim)
             diag[(i, j)] = index[dsub]
     return CylindricStructure(L, dims, cyl, diag), closure
+
+
+def subalgebra_closure(L: FiniteOL, seed) -> frozenset:
+    cur = set(seed) | {L.zero, L.one}
+    while True:
+        new = set()
+        for x in cur:
+            o = L.ortho(x)
+            if o not in cur:
+                new.add(o)
+        for x in cur:
+            for y in cur:
+                m, j = L.meet(x, y), L.join(x, y)
+                if m not in cur:
+                    new.add(m)
+                if j not in cur:
+                    new.add(j)
+        if not new:
+            return frozenset(cur)
+        cur |= new
+
+
+def all_subalgebras(L: FiniteOL):
+    """Every subalgebra of L, found by closure-driven search."""
+    start = subalgebra_closure(L, ())
+    seen = {start}
+    queue = [start]
+    while queue:
+        s = queue.pop()
+        for x in L.elements():
+            if x not in s:
+                t = subalgebra_closure(L, s | {x})
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
+def foulis_holland_check(L: FiniteOL, x: int, y: int, z: int) -> FoulisHollandResult:
+    """Distributivity of the sublattice generated by x,y,z when one of them
+    commutes with the other two."""
+    trip = (x, y, z)
+    pre = any(all(commutes(L, a, b) and commutes(L, b, a)
+                  for b in trip if b != a)
+              for a in trip)
+    cur = {x, y, z}
+    while True:
+        new = {L.meet(a, b) for a in cur for b in cur} | \
+              {L.join(a, b) for a in cur for b in cur}
+        if new <= cur:
+            break
+        cur |= new
+    return FoulisHollandResult(pre, is_distributive_subset(L, cur))
+
+
+def closed_sets(F: Orthoframe, max_elements: int = DEFAULT_MAX_ELEMENTS):
+    """All biorthogonally closed subsets: intersections of point
+    orthocomplements, plus the full set."""
+    family = {F.full}
+    frontier = [F.full]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for i in range(F.n):
+                t = s & F.perp[i]
+                if t not in family:
+                    family.add(t)
+                    nxt.append(t)
+                    if len(family) > max_elements:
+                        raise SizeGuardError(
+                            "more than %d closed sets" % max_elements)
+        frontier = nxt
+    return sorted(family, key=lambda m: (bin(m).count("1"), m))

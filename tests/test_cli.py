@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from omlkit.cli import main
@@ -153,3 +154,50 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     res = subprocess.run([sys.executable, "-m", "omlkit", "repro", "q6"],
                          cwd=ROOT, env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_COMMANDS = (
+    [("check", "lattice", f) for f in
+     ("mo2_lattice.json", "o6_lattice.json", "chain4_identity_ortho.json")]
+    + [("check", "quantifier", "quantifier_mo2.json")]
+    + [("check", "cylindric", "--mode", m, f) for m in ("weak", "full")
+       for f in ("classical_cylindric_2x2.json", "tensor33_cylindric.json")]
+    + [("check", "frame", f) for f in
+       ("frame_monadic.json", "frame_bad_perp.json")]
+    + [("check", "algebra", "algebra_diagonal.json")]
+    + [("repro", name) for name in ("q6", "c5", "diag", "bell",
+                                    "commuting-square", "expectation")]
+    + [("search", "q6"), ("search", "q6", "--max-blocks", "6"),
+       ("search", "expectation-gap", "--dim", "3")]
+    + [("convert", f) for f in ("two_blocks.greechie", "q6_blocks.greechie")])
+
+
+def _golden_name(args):
+    return "_".join(a.lstrip("-").split(".")[0] for a in args) + ".json"
+
+
+def _golden_report(args):
+    """The command's JSON report without `timing`, plus its exit code;
+    fixture names in the arguments are read from fixtures/."""
+    res = run("--json", "-", *[str(FIXTURES / a) if (FIXTURES / a).is_file()
+                               else a for a in args])
+    rep = json.loads(res.output)
+    rep.pop("timing", None)
+    rep["exit_code"] = res.exit_code
+    return rep
+
+
+@pytest.mark.parametrize("args", GOLDEN_COMMANDS, ids=_golden_name)
+def test_report_matches_golden(args):
+    golden = json.loads((GOLDEN / _golden_name(args)).read_text())
+    assert _golden_report(args) == golden
+
+
+if __name__ == "__main__":
+    # rewrite tests/golden/ from the current code:
+    # PYTHONPATH=src python tests/test_cli.py
+    GOLDEN.mkdir(exist_ok=True)
+    for args in GOLDEN_COMMANDS:
+        (GOLDEN / _golden_name(args)).write_text(
+            json.dumps(_golden_report(args), sort_keys=True, indent=2) + "\n")
