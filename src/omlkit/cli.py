@@ -128,7 +128,7 @@ def _run_check(kind, obj, mode, max_size, report):
         report["checks"] = _status_dict(rep.status)
         return PASS if rep.ok else FAIL
     if kind == "frame":
-        F, rels, diags = formats.load_frame(obj)
+        F, rels, diags = formats.load_frame(obj, max_size)
         base = frames.validate_orthoframe(F)
         if not base.ok:
             report["checks"] = _status_dict(base.status)

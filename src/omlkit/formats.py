@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import lattice as lat
 from .gq import format_gq, parse_gq
-from .lattice import FiniteOL
+from .lattice import FiniteOL, bits
 from .quantifiers import UnaryMap
 from .cylindric import CylindricStructure
 from .frames import Orthoframe
@@ -22,6 +22,11 @@ from .subspaces import MAX_AMBIENT_DIM, Subspace, TensorLayout
 
 class FormatError(ValueError):
     pass
+
+
+# most relations a frame file may give: the W4 check of a weak cylindric
+# frame visits k^3 relation triples and its diagonals take k^2 entries
+MAX_FRAME_RELATIONS = 8
 
 
 def _need(obj, key, kind=None):
@@ -80,8 +85,11 @@ def _list(value, what):
 
 def load_lattice(obj, max_elements=lat.DEFAULT_MAX_ELEMENTS) -> FiniteOL:
     """{"elements": [...], "covers" or "leq": [[i,j]...], "ortho": [...]}"""
-    labels = tuple(str(x) for x in _need(obj, "elements", list))
+    labels = tuple(_need(obj, "elements", list))
     n = len(labels)
+    for x in labels:
+        if not isinstance(x, str):  # null and true are not read as labels
+            raise FormatError("elements must be strings, got %r" % (x,))
     ortho = tuple(_index(x, n, "ortho image")
                   for x in _need(obj, "ortho", list))
     if sorted(ortho) != list(range(n)):
@@ -102,16 +110,11 @@ def load_lattice(obj, max_elements=lat.DEFAULT_MAX_ELEMENTS) -> FiniteOL:
 
 
 def _cover_pairs(L: FiniteOL):
-    out = []
-    for x in L.elements():
-        for y in L.elements():
-            if x == y or not L.leq(x, y):
-                continue
-            if any(L.leq(x, z) and L.leq(z, y) and z not in (x, y)
-                   for z in L.elements()):
-                continue
-            out.append([x, y])
-    return out
+    """[x, y] for each y covering x, row-major: nothing lies strictly
+    between them, so the interval [x, y] is exactly {x, y}."""
+    down, up = L.masks()
+    return [[x, y] for x in L.elements() for y in bits(up[x])
+            if y != x and up[x] & down[y] == 1 << x | 1 << y]
 
 
 def dump_lattice(L: FiniteOL) -> dict:
@@ -262,15 +265,28 @@ def _pairs_to_rows(pairs, n, what):
     return tuple(rows)
 
 
-def load_frame(obj):
+def load_frame(obj, max_elements=lat.DEFAULT_MAX_ELEMENTS):
     """{"points", "perp", "R", "D"} -> (frame, relations, diagonals);
-    relations and diagonals are empty dicts when absent.  Relations are
-    keyed 0..k-1; diagonals, when given, must cover every pair of them."""
-    points = tuple(str(p) for p in _need(obj, "points", list))
+    relations and diagonals are empty dicts when absent.  Points are
+    strings or ints, at most max_elements of them.  Relations are keyed
+    0..k-1 with k <= MAX_FRAME_RELATIONS; diagonals, when given, must cover
+    every pair of them."""
+    points = _need(obj, "points", list)
     n = len(points)
+    if n > max_elements:
+        raise FormatError("frame has %d points, guard is %d"
+                          % (n, max_elements))
+    for p in points:
+        # true and null are refused rather than read as labels
+        if not isinstance(p, str) and type(p) is not int:
+            raise FormatError("points must be strings or ints, got %r" % (p,))
+    points = tuple(map(str, points))
     F = Orthoframe(points, _pairs_to_rows(_need(obj, "perp", list), n,
                                           "perp"))
     R = _need(obj, "R", dict) if "R" in obj else {}
+    if len(R) > MAX_FRAME_RELATIONS:
+        raise FormatError("frame has %d relations, guard is %d"
+                          % (len(R), MAX_FRAME_RELATIONS))
     rels = {}
     for key, pairs in R.items():
         rels[_key_index(key, len(R), "R key")] = \

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
-from .lattice import DEFAULT_MAX_ELEMENTS, FiniteOL, close
+from .lattice import DEFAULT_MAX_ELEMENTS, FiniteOL, bits, close
 from .cylindric import CheckReport, CylindricStructure
 from .quantifiers import UnaryMap
 
@@ -29,15 +30,6 @@ class Orthoframe:
         return (1 << self.n) - 1
 
 
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
 def validate_orthoframe(F: Orthoframe) -> CheckReport:
     st = {"irreflexive": (True, None), "symmetric": (True, None)}
     for i in range(F.n):
@@ -54,7 +46,7 @@ def validate_orthoframe(F: Orthoframe) -> CheckReport:
 
 def orthocomplement(F: Orthoframe, a: int) -> int:
     out = F.full
-    for i in _bits(a):
+    for i in bits(a):
         out &= F.perp[i]
     return out
 
@@ -79,17 +71,14 @@ def closed_set_lattice(F: Orthoframe,
     index = {m: k for k, m in enumerate(masks)}
 
     def label(m):
-        return "{" + ",".join(str(F.points[i]) for i in _bits(m)) + "}"
-
-    def join_mask(a, b):
-        return orthocomplement(
-            F, orthocomplement(F, a) & orthocomplement(F, b))
+        return "{" + ",".join(str(F.points[i]) for i in bits(m)) + "}"
 
     labels = tuple(label(m) for m in masks)
     meet_t = tuple(tuple(index[a & b] for b in masks) for a in masks)
-    join_t = tuple(tuple(index[join_mask(a, b)] for b in masks)
-                   for a in masks)
     ortho_t = tuple(index[orthocomplement(F, a)] for a in masks)
+    # closed sets are closed under intersection, so a v b = (a' ^ b')'
+    join_t = tuple(tuple(ortho_t[m[ob]] for ob in ortho_t)
+                   for m in (meet_t[oa] for oa in ortho_t))
     L = FiniteOL(labels, meet_t, join_t, ortho_t, index[0], index[F.full])
     return L, tuple(masks)
 
@@ -100,7 +89,7 @@ def closed_set_lattice(F: Orthoframe,
 
 def image(R, a: int) -> int:
     out = 0
-    for i in _bits(a):
+    for i in bits(a):
         out |= R[i]
     return out
 
@@ -115,7 +104,7 @@ def is_reflexive(R, n: int) -> bool:
 
 def is_transitive(R, n: int) -> bool:
     for i in range(n):
-        for j in _bits(R[i]):
+        for j in bits(R[i]):
             if R[j] & ~R[i]:
                 return False
     return True
@@ -144,27 +133,37 @@ def check_monadic_frame(F: Orthoframe, R) -> CheckReport:
     return CheckReport(st)
 
 
+def subset_tables(F: Orthoframe, R):
+    """(img, orth) over all 2^n subset masks a: img[a] = R[A] and
+    orth[a] = A-ortho.  Each point i doubles the tables: the subsets that
+    gain i get R[i] joined into their image and perp[i] met into their
+    orthocomplement."""
+    img, orth = [0], [F.full]
+    for r, p in zip(R, F.perp):
+        img += [x | r for x in img]
+        orth += [x & p for x in orth]
+    return img, orth
+
+
 def check_closure_lemma(F: Orthoframe, R, subsets=None,
                         rng: random.Random | None = None,
                         samples: int = 200) -> bool:
     """For every subset A: R[A]-ortho and its double ortho are closed
-    under R, and R[biortho A] is inside biortho(R[A]).  Exhaustive when
-    the point count allows, sampled otherwise."""
-    if subsets is None:
-        if F.n <= 12:
-            subsets = range(1 << F.n)
-        else:
+    under R, and R[biortho A] is inside biortho(R[A]).  Exhaustive by
+    table lookups when the point count allows, sampled otherwise."""
+    if subsets is None and F.n <= 12:
+        img, orth = subset_tables(F, R)
+        subsets = range(len(img))
+        img, orth = img.__getitem__, orth.__getitem__
+    else:
+        if subsets is None:
             rng = rng or random.Random(0)
             subsets = [rng.randrange(1 << F.n) for _ in range(samples)]
+        img, orth = partial(image, R), partial(orthocomplement, F)
     for a in subsets:
-        ra = image(R, a)
-        s = orthocomplement(F, ra)
-        if image(R, s) & ~s:
-            return False
-        t = orthocomplement(F, s)
-        if image(R, t) & ~t:
-            return False
-        if image(R, biortho(F, a)) & ~biortho(F, ra):
+        s = orth(img(a))
+        t = orth(s)
+        if img(s) & ~s or img(t) & ~t or img(orth(orth(a))) & ~t:
             return False
     return True
 
@@ -317,7 +316,7 @@ def all_preorders(n: int):
 
     def consistent(k):
         for a in range(k + 1):
-            for b in _bits(rows[a]):
+            for b in bits(rows[a]):
                 if b <= k and rows[b] & ~rows[a]:
                     return False
         return True

@@ -2,8 +2,12 @@
 
 A FiniteOL stores elements by index with full meet/join tables computed at
 construction; values are immutable and every operation is a pure function.
-Builders for the canonical small structures (chains, Boolean algebras, O6,
-MO(n), Greechie pastings, direct products) live here too.
+The order is also kept as Python-int bitmasks, one per element: bit y of
+down[x] is set iff y <= x, and bit y of up[x] iff x <= y.  Order checks,
+quantifiers, blocks and frames work on these masks and on whole table rows
+rather than on one pair at a time.  Builders for the canonical small
+structures (chains, Boolean algebras, O6, MO(n), Greechie pastings, direct
+products) live here too.
 """
 
 from __future__ import annotations
@@ -22,6 +26,25 @@ class SizeGuardError(ValueError):
     """Input exceeds the configured element-count bound."""
 
 
+def bits(mask: int) -> list:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _transpose(rows):
+    """Bit i of out[j] is set iff bit j of rows[i] is."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteOL:
     """Finite bounded lattice with an orthocomplementation table.
@@ -36,6 +59,18 @@ class FiniteOL:
     ortho_t: tuple
     zero: int
     one: int
+
+    _masks = None  # (down, up), derived from meet_t on first use; not a field
+
+    def masks(self):
+        """(down, up): bit y of down[x] is set iff y <= x, and bit y of
+        up[x] iff x <= y."""
+        if self._masks is None:
+            up = [sum(1 << y for y, m in enumerate(row) if m == x)
+                  for x, row in enumerate(self.meet_t)]  # as in leq
+            object.__setattr__(self, "_masks",
+                               (tuple(_transpose(up)), tuple(up)))
+        return self._masks
 
     @property
     def n(self) -> int:
@@ -57,15 +92,15 @@ class FiniteOL:
         return self.meet_t[x][y] == x
 
     def down(self, x: int):
-        return [y for y in self.elements() if self.leq(y, x)]
+        return bits(self.masks()[0][x])
 
     def up(self, x: int):
-        return [y for y in self.elements() if self.leq(x, y)]
+        return bits(self.masks()[1][x])
 
     def atoms(self):
+        down, z = self.masks()[0], 1 << self.zero
         return [x for x in self.elements()
-                if x != self.zero and all(
-                    y in (self.zero, x) for y in self.down(x))]
+                if x != self.zero and not down[x] & ~(1 << x | z)]
 
     def label(self, x: int) -> str:
         return self.labels[x]
@@ -78,21 +113,6 @@ class FiniteOL:
 # construction
 
 
-def _transitive_closure(rel, n):
-    rel = [set(s) for s in rel]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            extra = set()
-            for j in rel[i]:
-                extra |= rel[j]
-            if not extra <= rel[i]:
-                rel[i] |= extra
-                changed = True
-    return rel
-
-
 def ol_from_leq(labels, leq_pairs, ortho, *,
                 max_elements=DEFAULT_MAX_ELEMENTS):
     """Build a FiniteOL from an order relation given as index pairs.
@@ -100,7 +120,7 @@ def ol_from_leq(labels, leq_pairs, ortho, *,
     The pairs may be covers (a Hasse diagram) or the full order: either
     way they are closed reflexively and transitively.  Raises LatticeError
     when the relation is not a lattice order with global bounds, naming a
-    witness pair.
+    witness pair: the first in row-major order, meet tried before join.
     """
     n = len(labels)
     if n == 0:
@@ -108,62 +128,54 @@ def ol_from_leq(labels, leq_pairs, ortho, *,
     if n > max_elements:
         raise SizeGuardError("lattice has %d elements, guard is %d"
                              % (n, max_elements))
-    up = [set() for _ in range(n)]
+    up = [1 << i for i in range(n)]
     for i, j in leq_pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise LatticeError("relation pair (%d,%d) out of range" % (i, j))
-        up[i].add(j)
+        up[i] |= 1 << j
+    for k, uk in enumerate(up):  # Warshall, one mask row at a time
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= uk
+    down = _transpose(up)
     for i in range(n):
-        up[i].add(i)
-    up = _transitive_closure(up, n)
-    for i in range(n):
-        for j in up[i]:
-            if i != j and i in up[j]:
-                raise LatticeError("order not antisymmetric at (%d,%d)" % (i, j))
-    bottoms = [i for i in range(n) if all(j in up[i] for j in range(n))]
-    tops = [i for i in range(n) if all(i in up[j] for j in range(n))]
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            raise LatticeError("order not antisymmetric at (%d,%d)"
+                               % (i, bits(both)[0]))
+    full = (1 << n) - 1
+    bottoms = [i for i in range(n) if up[i] == full]
+    tops = [i for i in range(n) if down[i] == full]
     if len(bottoms) != 1 or len(tops) != 1:
         raise LatticeError("global bounds missing or not unique")
-    zero, one = bottoms[0], tops[0]
-    down = [set() for _ in range(n)]
-    for i in range(n):
-        for j in up[i]:
-            down[j].add(i)
 
-    meet_t = []
-    join_t = []
+    # the meet is the element whose down-set is the common lower bounds, the
+    # join likewise on up-sets; the tables are symmetric, so the first pair
+    # to fail in row-major order is one with index x <= y
+    at_down = {d: i for i, d in enumerate(down)}
+    at_up = {u: i for i, u in enumerate(up)}
+    meet_t = [[0] * n for _ in range(n)]
+    join_t = [[0] * n for _ in range(n)]
     for x in range(n):
-        mrow = []
-        jrow = []
-        for y in range(n):
-            lb = down[x] & down[y]
-            m = None
-            for c in lb:
-                if all(d in down[c] for d in lb):
-                    m = c
-                    break
+        for y in range(x, n):
+            m = at_down.get(down[x] & down[y])
             if m is None:
                 raise LatticeError("pair (%s,%s) has no meet"
                                    % (labels[x], labels[y]))
-            ub = up[x] & up[y]
-            j = None
-            for c in ub:
-                if all(d in up[c] for d in ub):
-                    j = c
-                    break
+            j = at_up.get(up[x] & up[y])
             if j is None:
                 raise LatticeError("pair (%s,%s) has no join"
                                    % (labels[x], labels[y]))
-            mrow.append(m)
-            jrow.append(j)
-        meet_t.append(tuple(mrow))
-        join_t.append(tuple(jrow))
+            meet_t[x][y] = meet_t[y][x] = m
+            join_t[x][y] = join_t[y][x] = j
 
     ortho = tuple(ortho)
     if len(ortho) != n or not all(0 <= o < n for o in ortho):
         raise LatticeError("ortho table malformed")
-    return FiniteOL(tuple(labels), tuple(meet_t), tuple(join_t), ortho,
-                    zero, one)
+    L = FiniteOL(tuple(labels), tuple(map(tuple, meet_t)),
+                 tuple(map(tuple, join_t)), ortho, bottoms[0], tops[0])
+    object.__setattr__(L, "_masks", (tuple(down), tuple(up)))
+    return L
 
 
 ol_from_covers = ol_from_leq
@@ -201,9 +213,11 @@ def validate_ortholattice(L: FiniteOL) -> ValidationReport:
                                         "ortho table is not period two"))
     if structural:
         return ValidationReport(structural, violations)
+    down, up = L.masks()
+    o = L.ortho_t
     for x in range(n):
-        for y in range(n):
-            if L.leq(x, y) and not L.leq(L.ortho(y), L.ortho(x)):
+        for y in bits(up[x]):
+            if not down[o[x]] >> o[y] & 1:
                 violations.append(Violation("order_inverting", (x, y)))
     for x in range(n):
         if L.meet(x, L.ortho(x)) != L.zero:
@@ -221,9 +235,11 @@ class OMLFlag:
 
 def check_orthomodular(L: FiniteOL) -> OMLFlag:
     """x <= y must force x v (x' ^ y) = y."""
+    up = L.masks()[1]
     for x in L.elements():
-        for y in L.elements():
-            if L.leq(x, y) and L.join(x, L.meet(L.ortho(x), y)) != y:
+        jx, mox = L.join_t[x], L.meet_t[L.ortho_t[x]]
+        for y in bits(up[x]):
+            if jx[mox[y]] != y:
                 return OMLFlag(False, (x, y))
     return OMLFlag(True)
 
@@ -246,13 +262,16 @@ def sasaki_hook(L: FiniteOL, x: int, y: int) -> int:
 
 
 def is_distributive_subset(L: FiniteOL, elems) -> bool:
+    """a ^ (b v c) == (a ^ b) v (a ^ c), compared for each a as one row
+    over all pairs (b, c)."""
     elems = list(elems)
+    M, J = L.meet_t, L.join_t
+    bc = [J[b][c] for b in elems for c in elems]
     for a in elems:
-        for b in elems:
-            for c in elems:
-                if L.meet(a, L.join(b, c)) != L.join(L.meet(a, b),
-                                                     L.meet(a, c)):
-                    return False
+        ma = M[a]
+        ac = [ma[c] for c in elems]
+        if [ma[x] for x in bc] != [J[u][v] for u in ac for v in ac]:
+            return False
     return True
 
 
@@ -297,13 +316,9 @@ def is_subalgebra(L: FiniteOL, elems) -> bool:
     s = set(elems)
     if L.zero not in s or L.one not in s:
         return False
-    for x in s:
-        if L.ortho(x) not in s:
-            return False
-        for y in s:
-            if L.meet(x, y) not in s or L.join(x, y) not in s:
-                return False
-    return True
+    return all(L.ortho_t[x] in s
+               and s.issuperset([L.meet_t[x][y] for y in s])
+               and s.issuperset([L.join_t[x][y] for y in s]) for x in s)
 
 
 def all_subalgebras(L: FiniteOL):
@@ -319,28 +334,28 @@ def all_subalgebras(L: FiniteOL):
 def blocks(L: FiniteOL):
     """Maximal Boolean subalgebras, via maximal cliques of the commutation
     graph (maximal pairwise-commuting sets are subalgebras in an OML)."""
-    n = L.n
-    adj = [set() for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if x != y and commutes(L, x, y) and commutes(L, y, x):
-                adj[x].add(y)
+    n, J, o = L.n, L.join_t, L.ortho_t
+    # bit y of com[x] is set iff x commutes with y; adj keeps both ways
+    com = [sum(1 << y for y in range(n) if J[mx[y]][mx[o[y]]] == x)
+           for x, mx in enumerate(L.meet_t)]
+    adj = [sum(1 << y for y in bits(c) if com[y] >> x & 1) & ~(1 << x)
+           for x, c in enumerate(com)]
     cliques = []
 
     def bron_kerbosch(r, p, x):
-        if not p and not x:
-            cliques.append(frozenset(r))
+        if not p | x:
+            cliques.append(frozenset(bits(r)))
             return
-        pivot = max(p | x, key=lambda v: len(adj[v] & p))
-        for v in sorted(p - adj[pivot]):
-            bron_kerbosch(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+        pivot = max(bits(p | x), key=lambda v: (adj[v] & p).bit_count())
+        for v in bits(p & ~adj[pivot]):
+            bron_kerbosch(r | 1 << v, p & adj[v], x & adj[v])
+            p &= ~(1 << v)
+            x |= 1 << v
 
-    bron_kerbosch(set(), set(range(n)), set())
+    bron_kerbosch(0, (1 << n) - 1, 0)
     result = [c for c in cliques if is_subalgebra(L, c)
               and is_distributive_subset(L, c)]
-    return sorted(result, key=lambda s: sorted(s))
+    return sorted(result, key=sorted)
 
 
 @dataclass

@@ -64,46 +64,36 @@ class QuantifierReport:
 
 
 def check_quantifier(L: FiniteOL, e: UnaryMap) -> QuantifierReport:
-    """Exhaustive evaluation of Q1-Q6 with witnesses for failures."""
+    """Exhaustive evaluation of Q1-Q6 with witnesses for failures: the
+    first p, and for Q3 and Q6 the first q, in element order."""
     if len(e.map) != L.n:
         raise ValueError("map is not total on the lattice")
-    st = {}
+    em, M, J, o = e.map, L.meet_t, L.join_t, L.ortho_t
 
-    def record(name, witness):
-        if name not in st:
-            st[name] = (False, witness)
+    def first(bad):
+        return next(((p,) for p, b in enumerate(bad) if b), None)
 
-    if e(L.zero) != L.zero:
-        record("Q1", (L.zero,))
-    for p in L.elements():
-        if not L.leq(p, e(p)):
-            record("Q2", (p,))
-            break
-    for p in L.elements():
-        for q in L.elements():
-            if e(L.join(p, q)) != L.join(e(p), e(q)):
-                record("Q3", (p, q))
-                break
-        if "Q3" in st:
-            break
-    for p in L.elements():
-        if e(e(p)) != e(p):
-            record("Q4", (p,))
-            break
-    for p in L.elements():
-        if e(L.ortho(e(p))) != L.ortho(e(p)):
-            record("Q5", (p,))
-            break
-    for p in L.elements():
-        for q in L.elements():
-            if e(L.meet(p, e(q))) != L.meet(e(p), e(q)):
-                record("Q6", (p, q))
-                break
-        if "Q6" in st:
-            break
-    for a in AXIOMS:
-        st.setdefault(a, (True, None))
-    return QuantifierReport(st)
+    def first_pair(rows):
+        # rows yields the two sides of the axiom at each p, as rows over q
+        for p, (lhs, rhs) in enumerate(rows):
+            if lhs != rhs:
+                return p, next(q for q, a in enumerate(lhs) if a != rhs[q])
+        return None
+
+    found = {
+        "Q1": (L.zero,) if em[L.zero] != L.zero else None,
+        "Q2": first(M[p][x] != p for p, x in enumerate(em)),
+        # e(p v q) == e p v e q
+        "Q3": first_pair(([em[y] for y in jp], [jep[y] for y in em])
+                         for jp, jep in zip(J, (J[x] for x in em))),
+        "Q4": first(em[x] != x for x in em),
+        "Q5": first(em[o[x]] != o[x] for x in em),
+        # e(p ^ e q) == e p ^ e q
+        "Q6": first_pair(([em[mp[y]] for y in em], [mep[y] for y in em])
+                         for mp, mep in zip(M, (M[x] for x in em))),
+    }
+    return QuantifierReport({a: (found[a] is None, found[a])
+                             for a in AXIOMS})
 
 
 def quantifier_from_subalgebra(L: FiniteOL, S) -> UnaryMap:
@@ -111,16 +101,15 @@ def quantifier_from_subalgebra(L: FiniteOL, S) -> UnaryMap:
     S = frozenset(S)
     if not lat.is_subalgebra(L, S):
         raise NotApproximatingError("input is not a subalgebra of the lattice")
-    out = []
-    for a in L.elements():
-        above = [s for s in S if L.leq(a, s)]
-        m = above[0]
-        for s in above[1:]:
-            m = L.meet(m, s)
-        if m not in above:
-            raise NotApproximatingError(
-                "element %s has no least cover in S" % L.label(a))
-        out.append(m)
+    # S is closed under meet, so the meet of S above a lies in S and has the
+    # smallest down-set there: the first s to cover a by down-set size
+    down = L.masks()[0]
+    out = [0] * L.n
+    left = (1 << L.n) - 1
+    for s in sorted(S, key=lambda s: down[s].bit_count()):
+        for a in lat.bits(down[s] & left):
+            out[a] = s
+        left &= ~down[s]
     return UnaryMap(L, tuple(out))
 
 

@@ -1,6 +1,6 @@
-"""Malformed dims, index fields and index keys are refused, never coerced:
-the loader raises FormatError and `omlkit check` exits 2 without a
-traceback."""
+"""Malformed dims, index fields, index keys and labels, and frames past
+their size guards, are refused, never coerced: the loader raises
+FormatError and `omlkit check` exits 2 without a traceback."""
 
 import json
 from pathlib import Path
@@ -59,6 +59,12 @@ def _lattice_ortho(bad):
     return obj
 
 
+def _lattice_element(bad):
+    obj = _fixture("mo2_lattice.json")
+    obj["elements"] = [bad] + obj["elements"][1:]
+    return obj
+
+
 def _frame(**fields):
     obj = _fixture("frame_monadic.json")
     obj.update(fields)
@@ -73,6 +79,15 @@ def _frame_r(key="0", pairs=None):
 
 def _frame_d(key="0,0", members=(0, 1, 2)):
     return _frame(D={key: list(members)})
+
+
+def _frame_point(bad):
+    return _frame(points=[bad, 1, 2])
+
+
+def _frame_relations(k):
+    identity = [[p, p] for p in range(3)]
+    return _frame(R={str(i): identity for i in range(k)})
 
 
 CASES = {
@@ -119,6 +134,21 @@ CASES = {
     "ortho-string": ("lattice", fo.load_lattice, _lattice_ortho("x")),
     "ortho-float": ("lattice", fo.load_lattice, _lattice_ortho(5.0)),
     "ortho-bool": ("lattice", fo.load_lattice, _lattice_ortho(False)),
+    "lattice-element-null": ("lattice", fo.load_lattice,
+                             _lattice_element(None)),
+    "lattice-element-bool": ("lattice", fo.load_lattice,
+                             _lattice_element(True)),
+    "lattice-element-int": ("lattice", fo.load_lattice, _lattice_element(0)),
+    "lattice-element-float": ("lattice", fo.load_lattice,
+                              _lattice_element(0.5)),
+    "lattice-element-list": ("lattice", fo.load_lattice,
+                             _lattice_element(["0"])),
+    "frame-point-null": ("frame", fo.load_frame, _frame_point(None)),
+    "frame-point-bool": ("frame", fo.load_frame, _frame_point(False)),
+    "frame-point-float": ("frame", fo.load_frame, _frame_point(0.0)),
+    "frame-point-object": ("frame", fo.load_frame, _frame_point({"a": 1})),
+    "frame-too-many-relations": ("frame", fo.load_frame,
+                                 _frame_relations(fo.MAX_FRAME_RELATIONS + 1)),
     "frame-r-key-string": ("frame", fo.load_frame, _frame_r(key="x")),
     "frame-r-key-empty-pairs": ("frame", fo.load_frame,
                                 _frame_r(key="x", pairs=[])),
@@ -194,6 +224,41 @@ def test_valid_frames_still_load():
     assert set(rels) == {0} and diags == {}
     F, rels, diags = fo.load_frame(_frame_d())
     assert diags == {(0, 0): 0b111}
+    F, rels, diags = fo.load_frame(_frame(points=["x", 1, "z"]))
+    assert F.points == ("x", "1", "z")
+
+
+def test_labels_that_used_to_be_coerced():
+    # null and true became the labels "None" and "True", and the lattice
+    # passed its check; null and an object became frame points
+    obj = {"elements": [None, True], "leq": [[0, 1]], "ortho": [1, 0]}
+    with pytest.raises(fo.FormatError, match="elements must be strings"):
+        fo.load_lattice(obj)
+    obj["elements"] = ["0", "1"]
+    assert fo.load_lattice(obj).labels == ("0", "1")
+    with pytest.raises(fo.FormatError, match="points must be strings or ints"):
+        fo.load_frame({"points": [None, {"a": 1}], "perp": []})
+
+
+def test_frame_point_bound(tmp_path):
+    obj = _fixture("frame_monadic.json")
+    assert fo.load_frame(obj, max_elements=3)[0].n == 3
+    with pytest.raises(fo.FormatError, match="frame has 3 points, guard is 2"):
+        fo.load_frame(obj, max_elements=2)
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(obj))
+    for size, code in ((3, 0), (2, 2)):
+        res = CliRunner().invoke(main, ["--json", "-", "--max-size", str(size),
+                                        "check", "frame", str(path)])
+        assert res.exit_code == code, res.output
+
+
+def test_frame_relation_bound():
+    k = fo.MAX_FRAME_RELATIONS
+    assert len(fo.load_frame(_frame_relations(k))[1]) == k
+    message = "frame has %d relations, guard is %d" % (k + 1, k)
+    with pytest.raises(fo.FormatError, match=message):
+        fo.load_frame(_frame_relations(k + 1))
 
 
 SUBSPACE_FACTORS = {
