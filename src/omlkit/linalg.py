@@ -1,7 +1,10 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Matrices are tuples of tuples of GQ; the functions here never mutate their
-arguments and never leave exact arithmetic.
+arguments and never leave exact arithmetic.  Elimination runs on integer
+rows: echelon() and kernel() take and return rows as pairs (re, im) of
+Gaussian-integer parts in a canonical primitive form, and rref() and
+nullspace() convert GQ rows in and out at the boundary.
 """
 
 from __future__ import annotations
@@ -106,19 +109,40 @@ def unflatten(v: Vector, m: int, n: int) -> Matrix:
 
 def rref(rows) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with leading entries 1 and cleared pivot
-    columns; zero rows are dropped.  Returns (rows, pivot_columns).
+    columns; zero rows are dropped.  Returns (rows, pivots): the rows of
+    echelon() divided by their pivots, so the same canonical rref as
+    elimination over Q[i]."""
+    red, pivots = echelon([int_row(r) for r in rows])
+    return gq_rows(red, pivots), pivots
+
+
+# echelon() calls and the rows handed to them since the last reset_counts();
+# deterministic, so tests pin them to catch an algorithmic regression
+counts = {"echelon_calls": 0, "echelon_rows": 0}
+
+
+def reset_counts():
+    counts.update(dict.fromkeys(counts, 0))
+
+
+def echelon(rows) -> tuple[tuple, tuple[int, ...]]:
+    """Canonical Gaussian-integer echelon form of rows given as integer
+    parts (re, im).  Returns (rows, pivots): each row a pair of int tuples,
+    primitive (the gcd of all its parts is 1), with a positive real entry
+    at its pivot column and zeros at the other pivot columns; zero rows are
+    dropped.  Two row lists span the same subspace of Q[i]^n exactly when
+    their echelon forms are equal.
 
     Gauss-Jordan elimination over the Gaussian integers with integer
-    content removal.  Each row is scaled once to integer real and imaginary
-    parts.  A pivot row is multiplied by the conjugate of its pivot p, so p
-    becomes a real integer, and every step is row_i <- p*row_i - f*row_r.
-    Each new row is divided by the integer gcd of its parts.  A real p
-    keeps every row a rational multiple of the same row in elimination
-    over Q[i], and content removal makes it the smallest such integer row,
-    so entries never outgrow the Q[i] ones.  Only the final pivot rows are
-    divided by their pivots back into GQ, so the result is the same
-    canonical rref as elimination over Q[i]."""
-    work = [_primitive(*_den_row(r)[1:]) for r in rows]
+    content removal.  A pivot row is multiplied by the conjugate of its
+    pivot p, so p becomes a real integer, and every step is
+    row_i <- p*row_i - f*row_r.  Each new row is divided by the integer gcd
+    of its parts.  A real p keeps every row a rational multiple of the same
+    row in elimination over Q[i], and content removal makes it the smallest
+    such integer row, so entries never outgrow the Q[i] ones."""
+    work = [_primitive(a, b) for a, b in rows]
+    counts["echelon_calls"] += 1
+    counts["echelon_rows"] += len(work)
     if not work:
         return (), ()
     nrows = len(work)
@@ -155,12 +179,28 @@ def rref(rows) -> tuple[Matrix, tuple[int, ...]]:
         if r == nrows:
             break
     out = []
-    for k in range(r):
-        a, b = work[k]
-        p = a[pivots[k]]
+    for (a, b), c in zip(work, pivots):
+        if a[c] < 0:
+            a, b = [-x for x in a], [-y for y in b]
+        out.append((tuple(a), tuple(b)))
+    return tuple(out), tuple(pivots)
+
+
+def gq_rows(rows, pivots) -> Matrix:
+    """The rref over Q[i] of canonical echelon rows: each row divided by
+    its pivot."""
+    out = []
+    for (a, b), c in zip(rows, pivots):
+        p = a[c]
         out.append(tuple(_gq_of_fractions(Fraction(x, p), Fraction(y, p))
                          for x, y in zip(a, b)))
-    return tuple(out), tuple(pivots)
+    return tuple(out)
+
+
+def int_row(row) -> tuple[list, list]:
+    """(re, im): Gaussian-integer parts of a positive integer multiple of
+    row, as _den_row gives them."""
+    return _den_row(row)[1:]
 
 
 def _den_row(row):
@@ -193,22 +233,33 @@ def _primitive(a, b):
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(echelon([int_row(r) for r in rows])[0])
 
 
 def nullspace(rows, ncols: int) -> Matrix:
     """Canonical basis (rref rows) of {x : A x = 0}."""
-    red, pivots = rref(rows)
+    red, pivots = echelon([int_row(r) for r in rows])
+    return gq_rows(*kernel(red, pivots, ncols))
+
+
+def kernel(rows, pivots, ncols: int) -> tuple[tuple, tuple[int, ...]]:
+    """Canonical echelon form of {x : A x = 0}, for A given by its
+    canonical echelon rows and pivots.  The kernel vector of a free column
+    f is 1 at f and minus the rref entry a[f] / p at each pivot column;
+    scaled by the lcm of the pivots p it is a Gaussian-integer row."""
+    scale = lcm(*(a[c] for (a, _), c in zip(rows, pivots)))
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
     basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(tuple(v))
-    return rref(basis)[0]
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        re, im = [0] * ncols, [0] * ncols
+        re[f] = scale
+        for (a, b), c in zip(rows, pivots):
+            q = scale // a[c]
+            re[c], im[c] = -q * a[f], -q * b[f]
+        basis.append((re, im))
+    return echelon(basis)
 
 
 def in_rowspace(red: Matrix, v: Vector) -> bool:

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from . import linalg as la
 from .gq import GQ, ONE, ZERO
@@ -52,19 +53,31 @@ class StarAlgebra:
     @cached_property
     def _commutant(self) -> "StarAlgebra":
         """All matrices commuting with every basis element, via one exact
-        nullspace computation on the flattened unknown."""
+        kernel of the commutator equations on the flattened unknown."""
         n = self.n
-        rows = []
+        nn = n * n
+        eqs = {}
         for m in self.basis:
-            # (xm - mx)[i][j] = sum_k x[i][k] m[k][j] - m[i][k] x[k][j]
-            for i in range(n):
-                for j in range(n):
-                    row = [ZERO] * (n * n)
-                    for k in range(n):
-                        row[i * n + k] += m[k][j]
-                        row[k * n + j] -= m[i][k]
-                    rows.append(tuple(row))
-        ns = la.nullspace(rows, n * n)
+            # (xm - mx)[i][j] = sum_k x[i][k] m[k][j] - m[i][k] x[k][j], with
+            # m scaled to Gaussian integers.  Only equations where column j
+            # or row i of m is non-zero can be non-zero, and equal ones are
+            # kept once
+            re, im = la.int_row(la.flatten(m))
+            cols = {j for j in range(n) if any(re[j::n]) or any(im[j::n])}
+            rows = {i for i in range(n)
+                    if any(re[i * n:i * n + n]) or any(im[i * n:i * n + n])}
+            for i, j in product(range(n), repeat=2):
+                if i not in rows and j not in cols:
+                    continue
+                a, b = [0] * nn, [0] * nn
+                for k in range(n):
+                    a[i * n + k] += re[k * n + j]
+                    b[i * n + k] += im[k * n + j]
+                    a[k * n + j] -= re[i * n + k]
+                    b[k * n + j] -= im[i * n + k]
+                if any(a) or any(b):
+                    eqs[tuple(a), tuple(b)] = None
+        ns = la.gq_rows(*la.kernel(*la.echelon(list(eqs)), nn))
         return StarAlgebra(n, tuple(la.unflatten(v, n, n) for v in ns))
 
 

@@ -1,14 +1,18 @@
 """Subspace lattices of tensor powers over the Gaussian rationals.
 
-Subspaces are stored in a unique reduced-echelon canonical form, so every
-lattice identity in this module is decided by exact matrix equality.
+A subspace is stored as the canonical Gaussian-integer echelon form of
+linalg.echelon: primitive integer rows with positive real pivots.  The form
+is unique, so every lattice identity in this module is decided by exact
+equality of integer rows.  join, ortho and the factor quantifiers work on
+these rows alone; the GQ basis in reduced echelon form is built only when
+a caller reads it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import comb, prod
 
@@ -21,67 +25,74 @@ from .quantifiers import UnaryMap
 MAX_AMBIENT_DIM = 256
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Subspace:
-    """A subspace of GQ^dim; basis rows are in canonical reduced echelon
-    form, so equality of Subspace values is equality of subspaces."""
+    """A subspace of GQ^dim, held as the canonical echelon rows and pivots
+    of linalg.echelon, so equality of Subspace values is equality of
+    subspaces.  Subspace(dim, vectors) is the span of GQ, int or Fraction
+    vectors; basis is the same space as GQ rows in reduced echelon form."""
 
     dim: int
-    basis: tuple
-    # orthocomplement, filled in by ortho(), and identity key, filled in by
-    # _ident(); plain class attributes, not fields, so they stay out of
-    # ==, hash and repr
+    rows: tuple
+    pivots: tuple
+    # orthocomplement, filled in by ortho(); a plain class attribute, not a
+    # field, so it stays out of ==, hash and repr
     _ortho = None
-    _key = None
 
-    def _ident(self) -> tuple:
-        """dim and the canonical Gaussian-integer form (den, re, im) of
-        each basis row: equal exactly when dim and basis are equal, and
-        compared and hashed as ints instead of Fractions."""
-        key = self._key
-        if key is None:
-            key = (self.dim, tuple(
-                (den, tuple(re), tuple(im))
-                for den, re, im in map(la._den_row, self.basis)))
-            object.__setattr__(self, "_key", key)
-        return key
+    def __init__(self, dim: int, vectors):
+        rows, pivots = la.echelon([la.int_row(v) for v in vectors])
+        self.__dict__.update(dim=dim, rows=rows, pivots=pivots)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self._ident() == other._ident()
+        return self.dim == other.dim and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self._ident())
+        return hash((self.dim, self.rows))
+
+    @cached_property
+    def basis(self) -> tuple:
+        return la.gq_rows(self.rows, self.pivots)
 
     @staticmethod
     def from_vectors(dim: int, vectors) -> "Subspace":
-        vecs = [tuple(x if isinstance(x, GQ) else GQ(x) for x in v)
-                for v in vectors]
+        vecs = [tuple(v) for v in vectors]
         for v in vecs:
             if len(v) != dim:
                 raise ValueError("vector length %d != ambient %d"
                                  % (len(v), dim))
-        red, _ = la.rref(vecs)
-        return Subspace(dim, red)
+        return Subspace(dim, vecs)
 
     @staticmethod
     def zero(dim: int) -> "Subspace":
-        return Subspace(dim, ())
+        return _from_echelon(dim, ((), ()))
 
     @staticmethod
     def full(dim: int) -> "Subspace":
-        return Subspace(dim, la.eye(dim))
+        zeros = (0,) * dim
+        rows = tuple((zeros[:i] + (1,) + zeros[i + 1:], zeros)
+                     for i in range(dim))
+        return _from_echelon(dim, (rows, tuple(range(dim))))
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, v) -> bool:
         return la.in_rowspace(self.basis, tuple(v))
 
     def leq(self, other: "Subspace") -> bool:
         return all(other.contains(row) for row in self.basis)
+
+
+def _from_echelon(dim: int, echelon_form) -> Subspace:
+    """The Subspace with the given canonical (rows, pivots), taken as they
+    are, without elimination."""
+    s = object.__new__(Subspace)
+    rows, pivots = echelon_form
+    s.__dict__.update(dim=dim, rows=rows, pivots=pivots)
+    return s
 
 
 def _check_dims(a: Subspace, b: Subspace):
@@ -97,7 +108,10 @@ def ortho(a: Subspace) -> Subspace:
     result is cached on both subspaces, each pointing at the other."""
     b = a._ortho
     if b is None:
-        b = Subspace(a.dim, la.nullspace(la.conj_mat(a.basis), a.dim))
+        # the kernel of the conjugate rows, which are canonical as they
+        # stand because every pivot is real
+        conj = [(re, tuple(-y for y in im)) for re, im in a.rows]
+        b = _from_echelon(a.dim, la.kernel(conj, a.pivots, a.dim))
         object.__setattr__(a, "_ortho", b)
         object.__setattr__(b, "_ortho", a)
     return b
@@ -105,7 +119,11 @@ def ortho(a: Subspace) -> Subspace:
 
 def join(a: Subspace, b: Subspace) -> Subspace:
     _check_dims(a, b)
-    return Subspace.from_vectors(a.dim, list(a.basis) + list(b.basis))
+    if not b.rows or a.rank == a.dim:
+        return a
+    if not a.rows or b.rank == b.dim:
+        return b
+    return _from_echelon(a.dim, la.echelon(a.rows + b.rows))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -170,65 +188,58 @@ class TensorLayout:
         return TensorLayout(rest)
 
 
-def _split_positions(layout: TensorLayout, factors):
-    fs = sorted(set(factors))
-    rest = [k for k in range(layout.n) if k not in fs]
-    return fs, rest
+def _slices(layout: TensorLayout, factors) -> tuple:
+    """The flat coordinates of the slices along `factors`: one tuple for
+    each standard basis tuple ft of those factors, in product order, giving
+    the coordinate of (ft, rt) for each tuple rt of the other factors, in
+    product order and so increasing.  Kept per layout and factor set."""
+    if isinstance(factors, int):
+        factors = (factors,)
+    return _slice_table(layout, frozenset(factors))
 
 
-def _coord_maps(layout: TensorLayout, factors):
-    """Index helpers for slicing factor positions F out of the layout.
-
-    Returns (f_tuples, rest_tuples, addr) where addr(ft, rt) is the flat
-    coordinate with F-positions set to ft and the others to rt, both read
-    in increasing position order.
-    """
-    fs, rest = _split_positions(layout, factors)
+@lru_cache(maxsize=64)
+def _slice_table(layout: TensorLayout, fs: frozenset) -> tuple:
     strides = layout.strides()
-    f_tuples = list(product(*(range(layout.factor_dims[k]) for k in fs)))
-    rest_tuples = list(product(*(range(layout.factor_dims[k]) for k in rest)))
 
-    def addr(ft, rt):
-        s = 0
-        for k, i in zip(fs, ft):
-            s += i * strides[k]
-        for k, i in zip(rest, rt):
-            s += i * strides[k]
-        return s
+    def offsets(ks):
+        return [sum(i * strides[k] for k, i in zip(ks, t))
+                for t in product(*(range(layout.factor_dims[k]) for k in ks))]
 
-    return f_tuples, rest_tuples, addr
+    rest = offsets([k for k in range(layout.n) if k not in fs])
+    return tuple(tuple(f + r for r in rest) for f in offsets(sorted(fs)))
 
 
 def component_span(layout: TensorLayout, factors, s: Subspace) -> Subspace:
     """Span of the slice components of a basis of s along the standard
     basis of the factors in `factors`; lives in the complementary space."""
-    if isinstance(factors, int):
-        factors = (factors,)
     if s.dim != layout.dim:
         raise ValueError("subspace does not live in this layout")
-    f_tuples, rest_tuples, addr = _coord_maps(layout, factors)
-    comps = []
-    for v in s.basis:
-        for ft in f_tuples:
-            comps.append(tuple(v[addr(ft, rt)] for rt in rest_tuples))
-    return Subspace.from_vectors(len(rest_tuples), comps)
+    slices = _slices(layout, factors)
+    comps = [(tuple(re[k] for k in sl), tuple(im[k] for k in sl))
+             for re, im in s.rows for sl in slices]
+    return _from_echelon(len(slices[0]), la.echelon(comps))
 
 
 def embed_alpha(layout: TensorLayout, factors, b: Subspace) -> Subspace:
-    """The full space on `factors` tensored with b, placed per layout."""
-    if isinstance(factors, int):
-        factors = (factors,)
-    f_tuples, rest_tuples, addr = _coord_maps(layout, factors)
-    if b.dim != len(rest_tuples):
+    """The full space on `factors` tensored with b, placed per layout.
+
+    Each row of b placed in each slice: the slices have disjoint supports
+    and increasing coordinates, so once sorted by pivot these rows are
+    already the canonical echelon form, and no elimination is needed."""
+    slices = _slices(layout, factors)
+    if b.dim != len(slices[0]):
         raise ValueError("subspace does not live in the complementary space")
-    vecs = []
-    for ft in f_tuples:
-        for row in b.basis:
-            v = [ZERO] * layout.dim
-            for rt, x in zip(rest_tuples, row):
-                v[addr(ft, rt)] = x
-            vecs.append(tuple(v))
-    return Subspace.from_vectors(layout.dim, vecs)
+    placed = []
+    for sl in slices:
+        for (re, im), c in zip(b.rows, b.pivots):
+            a, d = [0] * layout.dim, [0] * layout.dim
+            for k, x, y in zip(sl, re, im):
+                a[k], d[k] = x, y
+            placed.append((sl[c], (tuple(a), tuple(d))))
+    placed.sort()
+    return _from_echelon(layout.dim, (tuple(row for _, row in placed),
+                                      tuple(c for c, _ in placed)))
 
 
 def exists_factor(layout: TensorLayout, factors, s: Subspace) -> Subspace:
@@ -244,20 +255,15 @@ def forall_factor(layout: TensorLayout, factors, s: Subspace) -> Subspace:
 def forall_factor_direct(layout: TensorLayout, factors, s: Subspace) -> Subspace:
     """Membership characterization: (full) x <w> below s for every pure
     slice; cross-check for forall_factor."""
-    if isinstance(factors, int):
-        factors = (factors,)
-    f_tuples, rest_tuples, addr = _coord_maps(layout, factors)
+    slices = _slices(layout, factors)
     # w must satisfy: for every ft, the vector e_ft (x) w is in s, i.e. is
     # orthogonal to ortho(s).
     constraints = []
     so = ortho(s)
-    for ft in f_tuples:
+    for sl in slices:
         for row in so.basis:
-            constraints.append(tuple(row[addr(ft, rt)].conj()
-                                     for rt in rest_tuples))
-    sub = Subspace(len(rest_tuples),
-                   la.nullspace(la.conj_mat(tuple(constraints)),
-                                len(rest_tuples)))
+            constraints.append(tuple(row[k].conj() for k in sl))
+    sub = Subspace(len(slices[0]), la.nullspace(constraints, len(slices[0])))
     return embed_alpha(layout, factors, sub)
 
 
@@ -285,20 +291,20 @@ def diagonal(layout: TensorLayout, factors) -> Subspace:
         raise ValueError("diagonal factors must have equal dimensions")
     if len(fs) <= 1:
         return Subspace.full(layout.dim)
-    vecs = []
+    rows = []
     seen = set()
+    zeros = (0,) * layout.dim
     for idx in layout.tuples():
         key = tuple(sorted(idx[k] for k in fs)) + \
             tuple(idx[k] for k in range(layout.n) if k not in fs)
         if key in seen:
             continue
         seen.add(key)
-        orbit = _orbit(idx, fs)
-        v = [ZERO] * layout.dim
-        for t in orbit:
-            v[layout.index(t)] = ONE
-        vecs.append(tuple(v))
-    return Subspace.from_vectors(layout.dim, vecs)
+        v = [0] * layout.dim
+        for t in _orbit(idx, fs):
+            v[layout.index(t)] = 1
+        rows.append((v, zeros))
+    return _from_echelon(layout.dim, la.echelon(rows))
 
 
 def _orbit(idx, fs):
@@ -378,16 +384,15 @@ def random_subspace(dim: int, rng: random.Random, max_entry: int = 3) -> Subspac
 
 def apply_factor_map(layout: TensorLayout, factor: int, u, s: Subspace) -> Subspace:
     """Act by (1 (x) .. (x) u (x) .. (x) 1) on a subspace."""
-    f_tuples, rest_tuples, addr = _coord_maps(layout, (factor,))
-    d = layout.factor_dims[factor]
+    # slice k holds the coordinates of e_k (x) e_rt, so each column of the
+    # slices is one copy of the factor
+    columns = list(zip(*_slices(layout, factor)))
     vecs = []
     for v in s.basis:
         w = [ZERO] * layout.dim
-        for rt in rest_tuples:
-            col = [v[addr((k,), rt)] for k in range(d)]
-            new = la.matvec(u, tuple(col))
-            for k in range(d):
-                w[addr((k,), rt)] = new[k]
+        for col in columns:
+            for k, x in zip(col, la.matvec(u, tuple(v[k] for k in col))):
+                w[k] = x
         vecs.append(tuple(w))
     return Subspace.from_vectors(layout.dim, vecs)
 
@@ -432,9 +437,12 @@ def as_cylindric_structure(layout: TensorLayout, generators,
     subspace_list[i].
     """
     dims = tuple(range(layout.n))
-    start = [Subspace.zero(layout.dim), Subspace.full(layout.dim),
-             *(diagonal(layout, (i, j)) for i in dims for j in dims),
-             *generators]
+    zero, full = Subspace.zero(layout.dim), Subspace.full(layout.dim)
+    # each is the other's orthocomplement, so neither is computed
+    object.__setattr__(zero, "_ortho", full)
+    object.__setattr__(full, "_ortho", zero)
+    diagonals = {(i, j): diagonal(layout, (i, j)) for i in dims for j in dims}
+    start = [zero, full, *diagonals.values(), *generators]
     # the ops are looked up on each call, so wrappers put on this module's
     # ortho, join or exists_factor see every call the closure makes
     closure, (ortho_memo, *exists_memo, join_memo) = close(
@@ -455,11 +463,8 @@ def as_cylindric_structure(layout: TensorLayout, generators,
                          for b in range(len(perm))) for a in range(len(perm)))
     closure = ordered
     index = {s: k for k, s in enumerate(closure)}
-    L = FiniteOL(labels, meet_t, join_t, ortho_t,
-                 index[Subspace.zero(layout.dim)],
-                 index[Subspace.full(layout.dim)])
+    L = FiniteOL(labels, meet_t, join_t, ortho_t, index[zero], index[full])
     cyl = {i: UnaryMap(L, tuple(new_of_old[exists_memo[i][a]]
                                 for a in perm)) for i in dims}
-    diag = {(i, j): index[diagonal(layout, (i, j))]
-            for i in dims for j in dims}
+    diag = {ij: index[d] for ij, d in diagonals.items()}
     return CylindricStructure(L, dims, cyl, diag), closure

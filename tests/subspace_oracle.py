@@ -1,0 +1,107 @@
+"""Test-only oracle: subspace operations on GQ bases, as first written.
+
+A subspace here is an OSub: its dimension and its basis of rref rows over
+Q[i], from the GQ elimination of rref_oracle.  join spans both bases,
+ortho takes the nullspace of the conjugated basis, component_span and
+embed_alpha slice and place GQ entries, and ident is the integer identity
+key (dim, (den, re, im) per row) that Subspace was once compared by.
+omlkit.subspaces works on canonical Gaussian-integer rows instead; both
+must give the same subspaces, rref bases and equalities.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+from itertools import product
+
+from omlkit.gq import ONE, ZERO
+from omlkit.linalg import _den_row
+from rref_oracle import rref
+
+
+class OSub(NamedTuple):
+    dim: int
+    basis: tuple
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+
+def from_vectors(dim: int, vectors) -> OSub:
+    return OSub(dim, rref([tuple(v) for v in vectors])[0])
+
+
+def ident(s: OSub) -> tuple:
+    return (s.dim, tuple((den, tuple(re), tuple(im))
+                         for den, re, im in map(_den_row, s.basis)))
+
+
+def nullspace(rows, ncols: int):
+    red, pivots = rref(rows)
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(tuple(v))
+    return rref(basis)[0]
+
+
+def ortho(a: OSub) -> OSub:
+    conj = [tuple(x.conj() for x in row) for row in a.basis]
+    return OSub(a.dim, nullspace(conj, a.dim))
+
+
+def join(a: OSub, b: OSub) -> OSub:
+    return from_vectors(a.dim, list(a.basis) + list(b.basis))
+
+
+def meet(a: OSub, b: OSub) -> OSub:
+    return ortho(join(ortho(a), ortho(b)))
+
+
+def _coord_maps(layout, factors):
+    """(f_tuples, rest_tuples, addr): addr(ft, rt) is the flat coordinate
+    with the positions in factors set to ft and the others to rt."""
+    if isinstance(factors, int):
+        factors = (factors,)
+    fs = sorted(set(factors))
+    rest = [k for k in range(layout.n) if k not in fs]
+    strides = layout.strides()
+    f_tuples = list(product(*(range(layout.factor_dims[k]) for k in fs)))
+    rest_tuples = list(product(*(range(layout.factor_dims[k]) for k in rest)))
+
+    def addr(ft, rt):
+        return (sum(i * strides[k] for k, i in zip(fs, ft))
+                + sum(i * strides[k] for k, i in zip(rest, rt)))
+
+    return f_tuples, rest_tuples, addr
+
+
+def component_span(layout, factors, s: OSub) -> OSub:
+    f_tuples, rest_tuples, addr = _coord_maps(layout, factors)
+    comps = [tuple(v[addr(ft, rt)] for rt in rest_tuples)
+             for v in s.basis for ft in f_tuples]
+    return from_vectors(len(rest_tuples), comps)
+
+
+def embed_alpha(layout, factors, b: OSub) -> OSub:
+    f_tuples, rest_tuples, addr = _coord_maps(layout, factors)
+    vecs = []
+    for ft in f_tuples:
+        for row in b.basis:
+            v = [ZERO] * layout.dim
+            for rt, x in zip(rest_tuples, row):
+                v[addr(ft, rt)] = x
+            vecs.append(tuple(v))
+    return from_vectors(layout.dim, vecs)
+
+
+def exists_factor(layout, factors, s: OSub) -> OSub:
+    return embed_alpha(layout, factors, component_span(layout, factors, s))

@@ -111,27 +111,36 @@ def test_meet_table_is_the_meet_of_subspaces(name):
 
 def test_tensor33_closure_rebuilds_fixture_byte_for_byte():
     layout = TensorLayout((3, 3))
-    C, subs = sp.as_cylindric_structure(layout, [_c5_line(layout)])
+    line = _c5_line(layout)
+    la.reset_counts()
+    C, subs = sp.as_cylindric_structure(layout, [line])
     assert len(subs) == 96
+    # work pinned so an algorithmic regression fails without a timing check
+    assert la.counts == {"echelon_calls": 4728, "echelon_rows": 43072}
     text = json.dumps(fo.dump_cylindric(C), sort_keys=True)
     assert text == (FIXTURES / "tensor33_cylindric.json").read_text()
 
 
 def test_closure_work_counters(monkeypatch):
-    # the 8-element closure takes five nullspaces, all in ortho; the pairwise
-    # meet loop took 41, so a return to it fails here without a timing check
-    nullspace_calls = []
-    real_nullspace = la.nullspace
+    # the 8-element closure has 4 ortho pairs; zero and full start linked,
+    # so it takes one kernel for each of the other 3 and calls no meet.  The
+    # pairwise meet loop took 41 nullspaces, and without the link there were
+    # 5, so a return to either fails here without a timing check
+    kernel_calls = []
+    real_kernel = la.kernel
 
-    def counting_nullspace(rows, ncols):
-        nullspace_calls.append(ncols)
-        return real_nullspace(rows, ncols)
+    def counting_kernel(rows, pivots, ncols):
+        kernel_calls.append(ncols)
+        return real_kernel(rows, pivots, ncols)
 
     def no_meet(a, b):
         raise AssertionError("as_cylindric_structure called meet")
 
-    monkeypatch.setattr(la, "nullspace", counting_nullspace)
+    line = _c5_line(LAYOUT)
+    monkeypatch.setattr(la, "kernel", counting_kernel)
     monkeypatch.setattr(sp, "meet", no_meet)
-    C, subs = sp.as_cylindric_structure(LAYOUT, [_c5_line(LAYOUT)])
+    la.reset_counts()
+    C, subs = sp.as_cylindric_structure(LAYOUT, [line])
     assert len(subs) == 8
-    assert len(nullspace_calls) == 5
+    assert len(kernel_calls) == 3
+    assert la.counts == {"echelon_calls": 42, "echelon_rows": 160}

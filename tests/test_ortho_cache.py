@@ -13,15 +13,16 @@ def _fresh_ortho(s):
     return Subspace(s.dim, la.nullspace(la.conj_mat(s.basis), s.dim))
 
 
-def _count_nullspace(monkeypatch):
+def _count_kernel(monkeypatch):
+    """Calls of la.kernel, which ortho takes each orthocomplement from."""
     calls = []
-    real = la.nullspace
+    real = la.kernel
 
-    def counting(rows, ncols):
+    def counting(rows, pivots, ncols):
         calls.append(ncols)
-        return real(rows, ncols)
+        return real(rows, pivots, ncols)
 
-    monkeypatch.setattr(la, "nullspace", counting)
+    monkeypatch.setattr(la, "kernel", counting)
     return calls
 
 
@@ -59,7 +60,7 @@ def test_cache_is_invisible_to_eq_hash_repr():
 
 def test_ortho_is_computed_once(monkeypatch):
     a = Subspace.from_vectors(3, [[1, 1, 0]])
-    calls = _count_nullspace(monkeypatch)
+    calls = _count_kernel(monkeypatch)
     o = sp.ortho(a)
     sp.ortho(a)
     sp.ortho(o)
@@ -71,9 +72,13 @@ def test_meet_of_seen_operands_computes_one_nullspace(monkeypatch):
     b = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
     sp.ortho(a)
     sp.ortho(b)
-    calls = _count_nullspace(monkeypatch)
-    assert sp.meet(a, b) == Subspace.from_vectors(3, [[0, 1, 0]])
+    want = Subspace.from_vectors(3, [[0, 1, 0]])
+    calls = _count_kernel(monkeypatch)
+    la.reset_counts()
+    assert sp.meet(a, b) == want
     assert len(calls) == 1
+    # one elimination of the two joined rows, one of the one kernel row
+    assert la.counts == {"echelon_calls": 2, "echelon_rows": 3}
 
 
 def test_directly_built_subspace_uses_cache():

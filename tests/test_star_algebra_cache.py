@@ -1,5 +1,7 @@
 """The derived data that each StarAlgebra keeps: its flattened basis, the
-inverse of its Gram matrix and its commutant."""
+inverse of its Gram matrix and its commutant.  The commutant is built from
+sparse, distinct integer equations; commutant_oracle builds the dense GQ
+system it was first written with."""
 
 import pickle
 import random
@@ -27,6 +29,23 @@ def conditional_expectation_oracle(N, x):
     for c, b in zip(coeffs, basis):
         out = la.add(out, la.scale(c, b))
     return out
+
+
+def commutant_oracle(A):
+    """n^2 dense GQ equations per basis element, zero and repeated rows
+    included, through one GQ nullspace."""
+    n = A.n
+    rows = []
+    for m in A.basis:
+        for i in range(n):
+            for j in range(n):
+                row = [GQ(0)] * (n * n)
+                for k in range(n):
+                    row[i * n + k] += m[k][j]
+                    row[k * n + j] -= m[i][k]
+                rows.append(tuple(row))
+    ns = la.nullspace(rows, n * n)
+    return StarAlgebra(n, tuple(la.unflatten(v, n, n) for v in ns))
 
 
 def _count(monkeypatch, name):
@@ -81,7 +100,7 @@ def algebra_and_inputs(draw):
 
 def test_commutant_is_computed_once(monkeypatch):
     A, p = _two_projection_algebra()
-    calls = _count(monkeypatch, "nullspace")
+    calls = _count(monkeypatch, "kernel")
     C = ma.commutant(A)
     assert ma.commutant(A) is C
     ma.exists_alg(A, p)
@@ -93,6 +112,18 @@ def test_commutant_is_computed_once(monkeypatch):
     assert ma.exists_fixed_points_are_commutant_projections(A, [p])
     assert ma.commutant(C) is ma.commutant(C)
     assert len(calls) == 2
+
+
+def test_commutant_equations_are_sparse_and_distinct():
+    # M_n's matrix units give 3n(n-1) distinct non-zero equations; the kernel
+    # is the scalars, so one kernel row follows.  The dense system had n^4
+    # rows (65,536 for M_16)
+    for n in (8, 16):
+        A = ma.full_matrix_algebra(n)
+        la.reset_counts()
+        assert ma.commutant(A) == ma.scalar_algebra(n)
+        assert la.counts == {"echelon_calls": 2,
+                             "echelon_rows": 3 * n * (n - 1) + 1}
 
 
 def test_gram_inverse_is_computed_once(monkeypatch):
@@ -171,6 +202,14 @@ def test_expectation_matches_oracle(case):
     for y in (x, p, la.eye(N.n)):
         assert ma.conditional_expectation(N, y) == \
             conditional_expectation_oracle(N, y)
+
+
+@settings(max_examples=40)
+@given(algebra_and_inputs())
+def test_commutant_matches_dense_oracle(case):
+    N, x, _ = case
+    for A in (N, ma.commutant(N), ma.build_algebra(N.n, [x])):
+        assert ma.commutant(StarAlgebra(A.n, A.basis)) == commutant_oracle(A)
 
 
 @settings(max_examples=15)

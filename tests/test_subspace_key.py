@@ -1,5 +1,6 @@
-"""Subspace equality and hashing go through an integer identity key: dim
-and the Gaussian-integer form (den, re, im) of each basis row."""
+"""Subspace equality and hashing compare dim and the canonical
+Gaussian-integer echelon rows: primitive integer rows (re, im) with
+positive real pivots."""
 
 import pickle
 import random
@@ -27,7 +28,11 @@ def test_spanning_sets_and_entry_types_give_one_key():
 def test_key_is_the_integer_row_form():
     s = Subspace.from_vectors(2, [[3, GQ(Fraction(1, 2), Fraction(-2, 3))]])
     assert s.basis == ((GQ(1), GQ(Fraction(1, 6), Fraction(-2, 9))),)
-    assert s._ident() == (2, ((18, (18, 3), (0, -4)),))
+    assert (s.dim, s.rows, s.pivots) == (2, (((18, 3), (0, -4)),), (0,))
+    # a negative or imaginary pivot is scaled to a positive real one
+    for v in ([-6, GQ(-1, Fraction(4, 3))],
+              [GQ(0, 3), GQ(Fraction(2, 3), Fraction(1, 2))]):
+        assert Subspace.from_vectors(2, [v]).rows == s.rows
 
 
 def test_different_dims_and_ranks_are_unequal():
@@ -54,18 +59,20 @@ def test_key_agrees_with_basis_equality():
 
 
 def test_key_is_invisible_in_repr():
+    # the GQ basis is built on first use and kept outside the fields
     vecs = [[1, 2, 0, 1], [0, 1, 1, 1]]
     keyed = Subspace.from_vectors(4, vecs)
-    hash(keyed)
+    keyed.basis
     fresh = Subspace.from_vectors(4, vecs)
-    assert keyed._key is not None and fresh._key is None
+    assert "basis" in vars(keyed) and "basis" not in vars(fresh)
+    assert keyed == fresh and hash(keyed) == hash(fresh)
     assert repr(keyed) == repr(fresh)
-    assert "_key" not in repr(keyed)
+    assert "GQ" not in repr(keyed)
 
 
 def test_pickle_round_trip():
     keyed = Subspace.from_vectors(4, [[1, 2, 0, GQ(0, 1)]])
-    hash(keyed)
+    keyed.basis
     for s in (keyed, Subspace.from_vectors(4, [[1, Fraction(1, 3), 0, 0]]),
               Subspace.zero(2)):
         back = pickle.loads(pickle.dumps(s))
@@ -76,7 +83,8 @@ def test_pickle_round_trip():
 
 def test_never_equal_to_a_non_subspace():
     s = Subspace.from_vectors(2, [[1, 1]])
-    for other in ((s.dim, s.basis), s.basis, s._ident(), None, 0, "S"):
+    for other in ((s.dim, s.basis), s.basis, (s.dim, s.rows), s.rows,
+                  None, 0, "S"):
         assert s != other and other != s
         assert not s == other
     assert Subspace.zero(1) != () and Subspace.zero(1) != 0

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import omlkit.subspaces as sp
-from omlkit.gq import ONE, ZERO
+from omlkit.gq import GQ, ONE, ZERO
 from omlkit.lattice import SizeGuardError
 from omlkit.subspaces import Subspace, TensorLayout
 
@@ -91,11 +91,16 @@ def test_exists_of_pure_tensor():
 def test_forall_agrees_with_membership_characterization():
     lay = TensorLayout((2, 2, 2))
     rng = random.Random(3)
-    for _ in range(10):
-        s = sp.random_subspace(8, rng)
+    # C^2 (x) C^2 (x) <(1, i)> plus a line: complex entries, so a wrong
+    # conjugation in either computation shows
+    w = Subspace.from_vectors(2, [[1, GQ(0, 1)]])
+    tilted = sp.join(sp.embed_alpha(lay, (0, 1), w),
+                     Subspace.from_vectors(8, [[1, 0, 0, 0, 0, 0, 0, 1]]))
+    for s in [sp.random_subspace(8, rng) for _ in range(10)] + [tilted]:
         f = sp.forall_factor(lay, 0, s)
         assert f == sp.forall_factor_direct(lay, 0, s)
         assert f.leq(s)
+    assert sp.forall_factor(lay, 0, tilted).rank == 4
 
 
 def test_exists_forall_galois():
