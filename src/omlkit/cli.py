@@ -17,9 +17,10 @@ import click
 from . import formats, frames, lattice as lat, matrixalg as ma
 from . import subspaces as sp
 from .cylindric import check_cylindric
-from .gq import GQ
-from .linalg import eye, scale
-from .quantifiers import check_quantifier, find_q6_counterexample
+from .gq import GQ, format_gq
+from .linalg import eye, kron, mat, scale
+from .quantifiers import (check_quantifier, find_q6_counterexample,
+                          quantifier_from_subalgebra)
 
 PASS, FAIL, REFUSED = 0, 1, 2
 
@@ -169,7 +170,6 @@ def _repro_q6(report, rng):
         return False
     report["found"] = True
     report["witness"] = wit.summary()
-    from .quantifiers import quantifier_from_subalgebra
     L = wit.lattice
     e = quantifier_from_subalgebra(L, wit.subalgebra)
     lhs = e(L.meet(wit.p, e(wit.q)))
@@ -200,21 +200,14 @@ def _repro_diag(report, rng):
     return ok
 
 
-def _bell_setup():
-    amb = ma.full_matrix_algebra(4)
+def _repro_bell(report, rng):
     units2 = [[[1, 0], [0, 0]], [[0, 1], [0, 0]],
               [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
-    from .linalg import kron, mat
     N = ma.build_algebra(4, [kron(mat(u), eye(2)) for u in units2])
     half = GQ(1) / GQ(2)
     bell = tuple(tuple(half * GQ(v) for v in row)
                  for row in [[1, 0, 0, 1], [0, 0, 0, 0],
                              [0, 0, 0, 0], [1, 0, 0, 1]])
-    return amb, N, bell
-
-
-def _repro_bell(report, rng):
-    _, N, bell = _bell_setup()
     e = ma.conditional_expectation(N, bell)
     quarter = GQ(1) / GQ(4)
     report["expectation_is_quarter_identity"] = e == scale(quarter, eye(4))
@@ -223,7 +216,6 @@ def _repro_bell(report, rng):
     report["bound_holds_at_1_4"] = good.is_psd
     report["bound_fails_at_1_2"] = not bad.is_psd
     if bad.witness is not None:
-        from .gq import format_gq
         report["violation_witness"] = [format_gq(x) for x in bad.witness]
     report["support_identity"] = \
         ma.check_exists_equals_range_of_expectation(N, bell)
@@ -232,7 +224,6 @@ def _repro_bell(report, rng):
 
 
 def _repro_commuting_square(report, rng):
-    from .linalg import kron, mat
     amb = ma.full_matrix_algebra(4)
     M = ma.build_algebra(4, [kron(mat(u), eye(2)) for u in
                              ([[1, 0], [0, 0]], [[0, 1], [0, 0]])])

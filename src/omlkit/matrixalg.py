@@ -15,38 +15,42 @@ from itertools import product
 
 from . import linalg as la
 from .gq import GQ, ONE, ZERO
-from .subspaces import Subspace, meet as sub_meet
+from .subspaces import Subspace, _from_echelon, meet as sub_meet
 
 
 @dataclass(frozen=True)
 class StarAlgebra:
-    """A unital *-subalgebra of the n x n matrices.  The basis matrices
-    flatten to reduced-echelon rows, so equal algebras compare equal.
+    """A unital *-subalgebra of the n x n matrices, held as its span: a
+    Subspace of GQ^(n*n), each matrix flattened row by row.  The Subspace
+    form is canonical, so equal algebras compare equal.
 
-    The flattened basis, the inverse Gram matrix and the commutant depend
-    only on the basis; each is computed on first use and kept on the
+    The basis matrices, the inverse Gram matrix and the commutant depend
+    only on the span; each is computed on first use and kept on the
     instance.  They are not fields, so they stay out of ==, hash and repr."""
 
     n: int
-    basis: tuple  # matrices; flattened rows form an rref basis of the span
+    span: Subspace  # of dimension n * n
+
+    def __post_init__(self):
+        if self.span.dim != self.n * self.n:
+            raise ValueError("span is not in M_%d" % self.n)
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(la.unflatten(v, self.n, self.n) for v in self.span.basis)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.span.rank
 
     def contains(self, x) -> bool:
-        return la.in_rowspace(self._flat, la.flatten(x))
-
-    @cached_property
-    def _flat(self) -> tuple:
-        """The basis matrices as flattened rows, in rref."""
-        return tuple(la.flatten(b) for b in self.basis)
+        return self.span.contains(la.flatten(x))
 
     @cached_property
     def _gram_inverse(self):
         """Inverse of the Gram matrix tr(b_i* b_j), from Frobenius products
         of the flattened basis."""
-        flat = self._flat
+        flat = self.span.basis
         return la.inverse(tuple(tuple(la.inner(u, v) for v in flat)
                                 for u in flat))
 
@@ -57,12 +61,10 @@ class StarAlgebra:
         n = self.n
         nn = n * n
         eqs = {}
-        for m in self.basis:
-            # (xm - mx)[i][j] = sum_k x[i][k] m[k][j] - m[i][k] x[k][j], with
-            # m scaled to Gaussian integers.  Only equations where column j
-            # or row i of m is non-zero can be non-zero, and equal ones are
-            # kept once
-            re, im = la.int_row(la.flatten(m))
+        for re, im in self.span.rows:
+            # (xm - mx)[i][j] = sum_k x[i][k] m[k][j] - m[i][k] x[k][j], for m
+            # a Gaussian-integer span row.  Only equations where column j or
+            # row i of m is non-zero can be non-zero; equal ones are kept once
             cols = {j for j in range(n) if any(re[j::n]) or any(im[j::n])}
             rows = {i for i in range(n)
                     if any(re[i * n:i * n + n]) or any(im[i * n:i * n + n])}
@@ -77,35 +79,35 @@ class StarAlgebra:
                     b[k * n + j] -= im[i * n + k]
                 if any(a) or any(b):
                     eqs[tuple(a), tuple(b)] = None
-        ns = la.gq_rows(*la.kernel(*la.echelon(list(eqs)), nn))
-        return StarAlgebra(n, tuple(la.unflatten(v, n, n) for v in ns))
+        return StarAlgebra(n, _from_echelon(
+            nn, la.kernel(*la.echelon(list(eqs)), nn)))
 
 
-def _span(n: int, mats) -> tuple:
-    red, _ = la.rref([la.flatten(m) for m in mats])
-    return tuple(la.unflatten(v, n, n) for v in red)
+def _span(n: int, mats) -> Subspace:
+    return Subspace(n * n, [la.flatten(m) for m in mats])
 
 
 def build_algebra(n: int, generators) -> StarAlgebra:
     """Smallest unital *-algebra containing the generators."""
     gens = [la.mat(g) for g in generators]
-    current = _span(n, [la.eye(n)] + gens + [la.adjoint(g) for g in gens])
+    current = StarAlgebra(n, _span(n, [la.eye(n)] + gens
+                                   + [la.adjoint(g) for g in gens]))
     while True:
-        products = [la.matmul(a, b) for a in current for b in current]
-        grown = _span(n, list(current) + products)
-        if len(grown) == len(current):
-            return StarAlgebra(n, grown)
+        products = [la.matmul(a, b)
+                    for a in current.basis for b in current.basis]
+        grown = StarAlgebra(n, _span(n, list(current.basis) + products))
+        if grown.dim == current.dim:
+            return grown
         current = grown
 
 
 def commutant(A: StarAlgebra) -> StarAlgebra:
-    """All matrices commuting with every element of A; computed once per
-    algebra and kept on it."""
+    """All matrices commuting with every element of A; kept on A."""
     return A._commutant
 
 
 def is_double_commutant_closed(A: StarAlgebra) -> bool:
-    return commutant(commutant(A)).basis == A.basis
+    return commutant(commutant(A)) == A
 
 
 def center(A: StarAlgebra) -> StarAlgebra:
@@ -178,10 +180,13 @@ def conditional_expectation(N: StarAlgebra, x) -> tuple:
     tr(b* n) = tr(b* x) for every b in N.  Each tr(b* x) is the Frobenius
     product of the flattened matrices, sum conj(b_ij) x_ij, and n = sum c_k b_k
     is one matvec with the flattened basis as columns."""
-    flat_x = la.flatten(la.mat(x))
-    t = tuple(la.inner(b, flat_x) for b in N._flat)
+    x = la.mat(x)
+    if len(x) != N.n or any(len(row) != N.n for row in x):
+        raise ValueError("x is not a %d x %d matrix" % (N.n, N.n))
+    flat = N.span.basis
+    t = tuple(la.inner(b, la.flatten(x)) for b in flat)
     coeffs = la.matvec(N._gram_inverse, t)
-    return la.unflatten(la.matvec(la.transpose(N._flat), coeffs), N.n, N.n)
+    return la.unflatten(la.matvec(la.transpose(flat), coeffs), N.n, N.n)
 
 
 def check_expectation_properties(N: StarAlgebra, samples) -> bool:
@@ -318,22 +323,9 @@ class CommutingSquareReport:
                 and self.quantifiers_commute)
 
 
-def _matrix_units(n):
-    out = []
-    for i in range(n):
-        for j in range(n):
-            m = [[ZERO] * n for _ in range(n)]
-            m[i][j] = ONE
-            out.append(tuple(tuple(row) for row in m))
-    return out
-
-
 def algebra_intersection(A: StarAlgebra, B: StarAlgebra) -> StarAlgebra:
     """The meet of the spans of A and B, as an algebra."""
-    d = A.n * A.n
-    both = sub_meet(Subspace(d, A._flat), Subspace(d, B._flat))
-    return StarAlgebra(A.n, tuple(la.unflatten(v, A.n, A.n)
-                                  for v in both.basis))
+    return StarAlgebra(A.n, sub_meet(A.span, B.span))
 
 
 def random_rank_one_projection(n: int, rng: random.Random):
@@ -346,10 +338,6 @@ def random_rank_one_projection(n: int, rng: random.Random):
     outer = tuple(tuple(v[i] * v[j].conj() for j in range(n))
                   for i in range(n))
     return la.scale(ONE / norm, outer)
-
-
-def algebra_leq(A: StarAlgebra, B: StarAlgebra) -> bool:
-    return all(B.contains(m) for m in A.basis)
 
 
 def random_projection_in(L: StarAlgebra, rng: random.Random):
@@ -369,7 +357,7 @@ def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
     hence as linear maps; (b) the induced projection quantifiers commute
     on sampled projections of L; (c) M meets N exactly in K."""
     for low, high in ((K, M), (K, N), (M, L), (N, L)):
-        if not algebra_leq(low, high):
+        if not low.span.leq(high.span):
             raise ValueError("algebras do not form a square of inclusions")
     EM = lambda x: conditional_expectation(M, x)
     EN = lambda x: conditional_expectation(N, x)
@@ -379,7 +367,7 @@ def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
         if EM(EN(u)) != EN(EM(u)):
             commute = False
             witness = witness or ("expectation_order", u)
-    intersect = algebra_intersection(M, N).basis == K.basis
+    intersect = algebra_intersection(M, N) == K
     if not intersect:
         witness = witness or ("intersection", None)
     quant = True
@@ -403,11 +391,13 @@ def projection_leq(p, q) -> bool:
 
 
 def scalar_algebra(n: int) -> StarAlgebra:
-    return StarAlgebra(n, (la.eye(n),))
+    # the flattened identity is already a canonical echelon row
+    one = tuple(int(i % (n + 1) == 0) for i in range(n * n))
+    return StarAlgebra(n, _from_echelon(n * n, (((one, (0,) * n * n),), (0,))))
 
 
 def full_matrix_algebra(n: int) -> StarAlgebra:
-    return StarAlgebra(n, _span(n, _matrix_units(n)))
+    return StarAlgebra(n, Subspace.full(n * n))
 
 
 def diagonal_algebra(n: int) -> StarAlgebra:

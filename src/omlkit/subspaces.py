@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import product
+from itertools import permutations, product
 from math import comb, prod
 
 from . import linalg as la
@@ -57,12 +57,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(dim: int, vectors) -> "Subspace":
-        vecs = [tuple(v) for v in vectors]
-        for v in vecs:
-            if len(v) != dim:
-                raise ValueError("vector length %d != ambient %d"
-                                 % (len(v), dim))
-        return Subspace(dim, vecs)
+        return Subspace(dim, [_check_length(dim, v) for v in vectors])
 
     @staticmethod
     def zero(dim: int) -> "Subspace":
@@ -80,10 +75,18 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v) -> bool:
-        return la.in_rowspace(self.basis, tuple(v))
+        return la.in_rowspace(self.basis, _check_length(self.dim, v))
 
     def leq(self, other: "Subspace") -> bool:
+        _check_dims(self, other)
         return all(other.contains(row) for row in self.basis)
+
+
+def _check_length(dim: int, v) -> tuple:
+    v = tuple(v)
+    if len(v) != dim:
+        raise ValueError("vector length %d != ambient %d" % (len(v), dim))
+    return v
 
 
 def _from_echelon(dim: int, echelon_form) -> Subspace:
@@ -308,7 +311,6 @@ def diagonal(layout: TensorLayout, factors) -> Subspace:
 
 
 def _orbit(idx, fs):
-    from itertools import permutations
     vals = [idx[k] for k in fs]
     out = set()
     for pv in permutations(vals):
@@ -399,7 +401,6 @@ def apply_factor_map(layout: TensorLayout, factor: int, u, s: Subspace) -> Subsp
 
 def signed_permutation_unitaries(dim: int):
     """All unitaries with entries in {0, 1, -1} (one per row/column)."""
-    from itertools import permutations
     for perm in permutations(range(dim)):
         for signs in product((ONE, -ONE), repeat=dim):
             yield tuple(tuple(signs[r] if c == perm[r] else ZERO

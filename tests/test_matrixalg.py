@@ -203,3 +203,21 @@ def test_search_expectation_gap_logs_clean():
     records = ma.search_expectation_gap(2, rng, algebras=2, samples=4)
     assert len(records) == 4
     assert all(not r.gaps for r in records)
+
+
+def test_contains_rejects_a_matrix_of_another_size():
+    with pytest.raises(ValueError):
+        ma.diagonal_algebra(2).contains(la.eye(3))
+
+
+def test_expectation_rejects_a_matrix_of_another_size():
+    # eye(3) used to be cut to its first four entries, giving diag(1, 0)
+    N = ma.diagonal_algebra(2)
+    for x in (la.eye(3), ((1, 0, 0), (0, 1, 0)), ((1,), (0, 1, 0))):
+        with pytest.raises(ValueError):
+            ma.conditional_expectation(N, x)
+
+
+def test_algebra_span_must_live_in_its_matrix_space():
+    with pytest.raises(ValueError):
+        ma.StarAlgebra(2, ma.full_matrix_algebra(3).span)

@@ -1,7 +1,8 @@
-"""The derived data that each StarAlgebra keeps: its flattened basis, the
+"""The derived data that each StarAlgebra keeps: its basis matrices, the
 inverse of its Gram matrix and its commutant.  The commutant is built from
-sparse, distinct integer equations; commutant_oracle builds the dense GQ
-system it was first written with."""
+sparse, distinct integer equations; commutant_oracle solves the dense GQ
+system it was first written with.  The algebra itself, held as a Subspace
+span, is compared with the GQ-rref algebras of star_algebra_oracle."""
 
 import pickle
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import omlkit.linalg as la
 import omlkit.matrixalg as ma
+import star_algebra_oracle as oracle
 from omlkit.gq import GQ, ONE
 from omlkit.matrixalg import StarAlgebra
 from omlkit.subspaces import Subspace, meet
@@ -32,20 +34,10 @@ def conditional_expectation_oracle(N, x):
 
 
 def commutant_oracle(A):
-    """n^2 dense GQ equations per basis element, zero and repeated rows
-    included, through one GQ nullspace."""
-    n = A.n
-    rows = []
-    for m in A.basis:
-        for i in range(n):
-            for j in range(n):
-                row = [GQ(0)] * (n * n)
-                for k in range(n):
-                    row[i * n + k] += m[k][j]
-                    row[k * n + j] -= m[i][k]
-                rows.append(tuple(row))
-    ns = la.nullspace(rows, n * n)
-    return StarAlgebra(n, tuple(la.unflatten(v, n, n) for v in ns))
+    """The dense GQ commutant of the oracle module, as a StarAlgebra."""
+    C = oracle.commutant(oracle.GQAlgebra(A.n, A.basis))
+    return StarAlgebra(A.n, Subspace(A.n * A.n,
+                                     [la.flatten(m) for m in C.basis]))
 
 
 def _count(monkeypatch, name):
@@ -80,6 +72,17 @@ def _rank_one_projection(v):
     outer = tuple(tuple(v[i] * v[j].conj() for j in range(len(v)))
                   for i in range(len(v)))
     return la.scale(ONE / la.inner(v, v), outer)
+
+
+@st.composite
+def two_algebras(draw):
+    """Generators of two algebras of one or two rank-one projections in
+    one M_n, n from 2 to 4, and a random matrix."""
+    n = draw(st.integers(2, 4))
+    gens = [[_rank_one_projection(draw(_vector(n)))
+             for _ in range(draw(st.integers(1, 2)))] for _ in range(2)]
+    x = tuple(tuple(draw(_entry) for _ in range(n)) for _ in range(n))
+    return n, gens, x
 
 
 @st.composite
@@ -138,7 +141,7 @@ def test_gram_inverse_is_computed_once(monkeypatch):
 def test_cached_commutant_equals_fresh_computation():
     A, _ = _two_projection_algebra()
     C = ma.commutant(A)
-    assert C == ma.commutant(StarAlgebra(A.n, A.basis))
+    assert C == ma.commutant(StarAlgebra(A.n, A.span))
     for c in C.basis:
         for a in A.basis:
             assert la.matmul(a, c) == la.matmul(c, a)
@@ -161,11 +164,11 @@ def test_center_is_intersection_with_commutant():
 
 def test_cache_is_invisible_to_eq_hash_repr():
     filled, p = _two_projection_algebra()
-    empty = StarAlgebra(filled.n, filled.basis)
+    empty = StarAlgebra(filled.n, filled.span)
     ma.commutant(filled)
     ma.conditional_expectation(filled, p)
     assert filled.contains(p) == empty.contains(p)
-    assert {"_commutant", "_gram_inverse", "_flat"} <= set(vars(filled))
+    assert {"_commutant", "_gram_inverse"} <= set(vars(filled))
     assert not {"_commutant", "_gram_inverse"} & set(vars(empty))
     assert filled == empty
     assert hash(filled) == hash(empty)
@@ -178,7 +181,7 @@ def test_pickle_round_trip_keeps_value():
     filled, p = _two_projection_algebra()
     ma.commutant(ma.commutant(filled))
     ma.conditional_expectation(filled, p)
-    for A in (filled, StarAlgebra(filled.n, filled.basis),
+    for A in (filled, StarAlgebra(filled.n, filled.span),
               ma.diagonal_algebra(2)):
         back = pickle.loads(pickle.dumps(A))
         assert back == A
@@ -209,7 +212,7 @@ def test_expectation_matches_oracle(case):
 def test_commutant_matches_dense_oracle(case):
     N, x, _ = case
     for A in (N, ma.commutant(N), ma.build_algebra(N.n, [x])):
-        assert ma.commutant(StarAlgebra(A.n, A.basis)) == commutant_oracle(A)
+        assert ma.commutant(StarAlgebra(A.n, A.span)) == commutant_oracle(A)
 
 
 @settings(max_examples=15)
@@ -236,3 +239,50 @@ def test_expectation_accepts_int_and_fraction_entries():
     assert ma.conditional_expectation(N, x) == \
         conditional_expectation_oracle(N, x) == \
         la.mat(((1, 0), (0, Fraction(-2, 3))))
+
+
+# ---------------------------------------------------------------------------
+# the Subspace-held algebra against the GQ-rref oracle
+
+
+def _same(new, old):
+    assert new.n == old.n
+    assert new.basis == old.basis
+    assert new.dim == old.dim
+
+
+@settings(max_examples=30)
+@given(two_algebras())
+def test_star_algebra_matches_gq_oracle(case):
+    n, gens, x = case
+    A, B = (ma.build_algebra(n, g) for g in gens)
+    oA, oB = (oracle.build_algebra(n, g) for g in gens)
+    _same(A, oA)
+    _same(B, oB)
+    _same(ma.commutant(A), oracle.commutant(oA))
+    _same(ma.center(A), oracle.center(oA))
+    _same(ma.algebra_intersection(A, B), oracle.intersection(oA, oB))
+    for m in (x, *gens[1], *B.basis, *ma.commutant(A).basis):
+        assert A.contains(m) == oA.contains(m)
+    C, oC = ma.commutant(B), oracle.commutant(oB)
+    for low, high, o_low, o_high in ((A, B, oA, oB), (B, A, oB, oA),
+                                     (ma.center(A), A, oracle.center(oA), oA),
+                                     (A, C, oA, oC)):
+        assert low.span.leq(high.span) == oracle.leq(o_low, o_high)
+
+
+def test_named_algebras_match_gq_oracle():
+    for n in (1, 2, 3, 4):
+        _same(ma.full_matrix_algebra(n), oracle.full_matrix_algebra(n))
+        _same(ma.scalar_algebra(n), oracle.span(n, [la.eye(n)]))
+        units = [[[int(i == j == k) for j in range(n)] for i in range(n)]
+                 for k in range(n)]
+        _same(ma.diagonal_algebra(n), oracle.span(n, units))
+
+
+def test_named_algebras_need_no_elimination():
+    # M_16 and its scalars are canonical as written: no echelon call
+    la.reset_counts()
+    full, scalars = ma.full_matrix_algebra(16), ma.scalar_algebra(16)
+    assert (full.dim, scalars.dim) == (256, 1)
+    assert la.counts == {"echelon_calls": 0, "echelon_rows": 0}

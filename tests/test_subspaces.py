@@ -215,3 +215,20 @@ def test_component_span_and_embed_are_inverse_on_products():
     emb = sp.embed_alpha(lay, 0, b)
     assert sp.component_span(lay, 0, emb) == b
     assert sp.exists_factor(lay, 0, emb) == emb
+
+
+def test_contains_rejects_a_vector_of_another_length():
+    # a longer vector used to be cut to the ambient length and accepted
+    with pytest.raises(ValueError):
+        Subspace.full(2).contains((5, 0, 0))
+    with pytest.raises(ValueError):
+        Subspace.zero(3).contains((0, 0))
+
+
+def test_leq_rejects_another_ambient_dimension():
+    a = Subspace.from_vectors(3, [(1, 0, 0)])
+    b = Subspace.from_vectors(2, [(1, 0)])
+    with pytest.raises(ValueError):
+        a.leq(b)
+    with pytest.raises(ValueError):
+        b.leq(a)
