@@ -28,6 +28,9 @@ class FormatError(ValueError):
 # frame visits k^3 relation triples and its diagonals take k^2 entries
 MAX_FRAME_RELATIONS = 8
 
+# at most dim*dim <= MAX_AMBIENT_DIM generators of an algebra are independent
+MAX_ALGEBRA_GENERATORS = MAX_AMBIENT_DIM
+
 
 def _need(obj, key, kind=None):
     if not isinstance(obj, dict) or key not in obj:
@@ -341,13 +344,17 @@ def format_matrix(m) -> list:
 
 def load_algebra(obj) -> StarAlgebra:
     """{"dim": d, "generators": [matrix, ...]}; the commutant solves for
-    d*d unknowns, so d*d is bounded by MAX_AMBIENT_DIM."""
+    d*d unknowns, so d*d is bounded by MAX_AMBIENT_DIM, and at most
+    MAX_ALGEBRA_GENERATORS generators are read."""
     n = _need(obj, "dim")
     if type(n) is not int or n < 1 or n * n > MAX_AMBIENT_DIM:
         raise FormatError("dim must be an int with 1 <= dim*dim <= %d, got %r"
                           % (MAX_AMBIENT_DIM, n))
-    gens = [parse_matrix(g, n) for g in _need(obj, "generators", list)]
-    return build_algebra(n, gens)
+    gens = _need(obj, "generators", list)
+    if len(gens) > MAX_ALGEBRA_GENERATORS:
+        raise FormatError("%d generators exceed the limit of %d"
+                          % (len(gens), MAX_ALGEBRA_GENERATORS))
+    return build_algebra(n, [parse_matrix(g, n) for g in gens])
 
 
 def dump_algebra(A: StarAlgebra) -> dict:

@@ -60,12 +60,15 @@ def scale(c, a: Matrix) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    _check_lengths(a, len(b))
+    _check_lengths(b, len(b[0]) if b else 0)
     rows = [_den_row(ra) for ra in a]
     cols = [_den_row(cb) for cb in transpose(b)]
     return tuple(tuple(_dot(r, c) for c in cols) for r in rows)
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
+    _check_lengths(a, len(v))
     dv = _den_row(v)
     return tuple(_dot(_den_row(row), dv) for row in a)
 
@@ -84,19 +87,36 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def inner(u: Vector, v: Vector) -> GQ:
     """Hermitian inner product, conjugate-linear in the first argument."""
+    _check_lengths((u,), len(v))
     den, re, im = _den_row(u)
     return _dot((den, re, [-y for y in im]), _den_row(v))
+
+
+def _check_lengths(rows, n: int):
+    """Raise ValueError unless every row has length n; zip would cut it."""
+    if any(len(r) != n for r in rows):
+        raise ValueError("operand lengths do not match: expected %d" % n)
 
 
 def _dot(r, c) -> GQ:
     """sum r_k * c_k for rows in (den, re, im) form: one Gaussian-integer
     sum, divided once by the product of the denominators."""
-    da, x, y = r
-    db, u, v = c
-    den = da * db
-    return _gq_of_fractions(
-        Fraction(sum(map(mul, x, u)) - sum(map(mul, y, v)), den),
-        Fraction(sum(map(mul, x, v)) + sum(map(mul, y, u)), den))
+    re, im = int_dot(r[1:], c[1:])
+    den = r[0] * c[0]
+    return _gq_of_fractions(Fraction(re, den), Fraction(im, den))
+
+
+def int_dot(a, b) -> tuple[int, int]:
+    """sum a_k * b_k for Gaussian-integer rows (re, im), as (re, im)."""
+    (x, y), (u, v) = a, b
+    return (sum(map(mul, x, u)) - sum(map(mul, y, v)),
+            sum(map(mul, x, v)) + sum(map(mul, y, u)))
+
+
+def int_matvec(rows, v) -> tuple[list, list]:
+    """The Gaussian-integer vector of int_dot(r, v) over the rows r."""
+    dots = [int_dot(r, v) for r in rows]
+    return [x for x, _ in dots], [y for _, y in dots]
 
 
 def flatten(a: Matrix) -> Vector:
@@ -189,12 +209,13 @@ def echelon(rows) -> tuple[tuple, tuple[int, ...]]:
 def gq_rows(rows, pivots) -> Matrix:
     """The rref over Q[i] of canonical echelon rows: each row divided by
     its pivot."""
-    out = []
-    for (a, b), c in zip(rows, pivots):
-        p = a[c]
-        out.append(tuple(_gq_of_fractions(Fraction(x, p), Fraction(y, p))
-                         for x, y in zip(a, b)))
-    return tuple(out)
+    return tuple(gq_vector(r, r[0][c]) for r, c in zip(rows, pivots))
+
+
+def gq_vector(v, den: int) -> Vector:
+    """The Gaussian-integer row v = (re, im) divided by the integer den."""
+    return tuple(_gq_of_fractions(Fraction(x, den), Fraction(y, den))
+                 for x, y in zip(*v))
 
 
 def int_row(row) -> tuple[list, list]:

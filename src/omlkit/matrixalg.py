@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import gcd
 
 from . import linalg as la
 from .gq import GQ, ONE, ZERO
@@ -24,9 +25,9 @@ class StarAlgebra:
     Subspace of GQ^(n*n), each matrix flattened row by row.  The Subspace
     form is canonical, so equal algebras compare equal.
 
-    The basis matrices, the inverse Gram matrix and the commutant depend
-    only on the span; each is computed on first use and kept on the
-    instance.  They are not fields, so they stay out of ==, hash and repr."""
+    The basis matrices and the commutant depend only on the span; each is
+    kept on the instance on first use, out of ==, hash and repr.  The span
+    keeps its orthogonal projection, which is the conditional expectation."""
 
     n: int
     span: Subspace  # of dimension n * n
@@ -44,15 +45,7 @@ class StarAlgebra:
         return self.span.rank
 
     def contains(self, x) -> bool:
-        return self.span.contains(la.flatten(x))
-
-    @cached_property
-    def _gram_inverse(self):
-        """Inverse of the Gram matrix tr(b_i* b_j), from Frobenius products
-        of the flattened basis."""
-        flat = self.span.basis
-        return la.inverse(tuple(tuple(la.inner(u, v) for v in flat)
-                                for u in flat))
+        return self.span.contains(_flat(self.n, x))
 
     @cached_property
     def _commutant(self) -> "StarAlgebra":
@@ -81,6 +74,13 @@ class StarAlgebra:
                     eqs[tuple(a), tuple(b)] = None
         return StarAlgebra(n, _from_echelon(
             nn, la.kernel(*la.echelon(list(eqs)), nn)))
+
+
+def _flat(n: int, x) -> tuple:
+    """x flattened row by row, after checking that it is n x n."""
+    if len(x) != n or any(len(row) != n for row in x):
+        raise ValueError("x is not a %d x %d matrix" % (n, n))
+    return la.flatten(x)
 
 
 def _span(n: int, mats) -> Subspace:
@@ -121,13 +121,9 @@ def center(A: StarAlgebra) -> StarAlgebra:
 
 def projector_onto(sub: Subspace):
     """Orthogonal projection with the given range: B (B*B)^{-1} B* for a
-    column basis B."""
-    n = sub.dim
-    if sub.rank == 0:
-        return la.zeros(n, n)
-    B = la.transpose(sub.basis)
-    G = la.matmul(la.adjoint(B), B)
-    return la.matmul(la.matmul(B, la.inverse(G)), la.adjoint(B))
+    column basis B, kept on sub as an integer matrix over an integer."""
+    M, L = sub._projector
+    return tuple(la.gq_vector(m, L) for m in M)
 
 
 def range_space(x) -> Subspace:
@@ -145,14 +141,17 @@ def is_projection(p) -> bool:
 
 
 def invariant_closure(mats, sub: Subspace) -> Subspace:
-    """Smallest subspace containing sub and invariant under each matrix."""
+    """Smallest subspace containing sub and invariant under each matrix,
+    given flattened as Gaussian-integer rows (re, im) such as the span rows
+    of an algebra: a multiple of a matrix has the same invariant subspaces."""
+    n = sub.dim
+    mats = [[(re[i:i + n], im[i:i + n]) for i in range(0, n * n, n)]
+            for re, im in mats]
     current = sub
     while True:
-        vecs = list(current.basis)
-        for m in mats:
-            for v in current.basis:
-                vecs.append(la.matvec(m, v))
-        grown = Subspace.from_vectors(sub.dim, vecs)
+        grown = _from_echelon(n, la.echelon(
+            list(current.rows)
+            + [la.int_matvec(m, v) for m in mats for v in current.rows]))
         if grown.rank == current.rank:
             return grown
         current = grown
@@ -161,13 +160,13 @@ def invariant_closure(mats, sub: Subspace) -> Subspace:
 def exists_alg(N: StarAlgebra, p) -> tuple:
     """Projection onto the smallest commutant(N)-invariant subspace
     containing the range of p; the quantifier induced by N on projections."""
-    return projector_onto(invariant_closure(commutant(N).basis,
+    return projector_onto(invariant_closure(commutant(N).span.rows,
                                             range_space(p)))
 
 
 def central_carrier(A: StarAlgebra, p) -> tuple:
     """Smallest projection in the center of A above p."""
-    mats = list(A.basis) + list(commutant(A).basis)
+    mats = A.span.rows + commutant(A).span.rows
     return projector_onto(invariant_closure(mats, range_space(p)))
 
 
@@ -177,16 +176,10 @@ def central_carrier(A: StarAlgebra, p) -> tuple:
 
 def conditional_expectation(N: StarAlgebra, x) -> tuple:
     """The trace-orthogonal projection of x onto N: the unique n in N with
-    tr(b* n) = tr(b* x) for every b in N.  Each tr(b* x) is the Frobenius
-    product of the flattened matrices, sum conj(b_ij) x_ij, and n = sum c_k b_k
-    is one matvec with the flattened basis as columns."""
-    x = la.mat(x)
-    if len(x) != N.n or any(len(row) != N.n for row in x):
-        raise ValueError("x is not a %d x %d matrix" % (N.n, N.n))
-    flat = N.span.basis
-    t = tuple(la.inner(b, la.flatten(x)) for b in flat)
-    coeffs = la.matvec(N._gram_inverse, t)
-    return la.unflatten(la.matvec(la.transpose(flat), coeffs), N.n, N.n)
+    tr(b* n) = tr(b* x) for every b in N.  tr(b* x) is the Hermitian inner
+    product of the flattened matrices, so this is the orthogonal projection
+    of the flattened x onto the span, kept on the span."""
+    return la.unflatten(N.span.project(_flat(N.n, x)), N.n, N.n)
 
 
 def check_expectation_properties(N: StarAlgebra, samples) -> bool:
@@ -227,49 +220,63 @@ class PSDResult:
 
 def psd_certificate(a) -> PSDResult:
     """Exact positive-semidefiniteness by Hermitian congruence reduction;
-    a failing certificate carries a vector v with v* a v < 0."""
-    a = la.mat(a)
+    a failing certificate carries a vector v with v* a v < 0.
+
+    It runs on Gaussian integers, W = T* (den a) T with den the lcm of the
+    denominators: pivot d = W[piv][piv] sets col_k <- d col_k - f col_piv,
+    f = W[piv][k], in W and T, and the matching row step, read off column k
+    as W stays Hermitian; the content g of T's column k is then divided out
+    of it and of W's row and column k (the diagonal by g^2).  T's columns
+    stay positive multiples of those over Q[i], whose own entry is 1, so
+    pivots, witness and value are the same as over Q[i]."""
     n = len(a)
-    if a != la.adjoint(a):
+    den, re, im = la._den_row(_flat(n, a))
+    if any(re[i * n + j] != re[j * n + i] or im[i * n + j] != -im[j * n + i]
+           for i in range(n) for j in range(i + 1)):
         raise ValueError("matrix is not Hermitian")
+    # column k: W[i][k] at i, then T[i][k] at n + i; T starts as I
+    cr = [list(re[k::n]) + [int(i == k) for i in range(n)] for k in range(n)]
+    ci = [list(im[k::n]) + [0] * n for k in range(n)]
 
-    work = [list(row) for row in a]
-    # columns of trans are the congruence vectors: reduced = T* a T
-    trans = [list(row) for row in la.eye(n)]
-
-    def column(j):
-        return tuple(trans[i][j] for i in range(n))
+    def column(k):
+        return la.gq_vector((cr[k][n:], ci[k][n:]), cr[k][n + k])
 
     active = list(range(n))
     while active:
-        piv = next((j for j in active if work[j][j]), None)
+        piv = next((j for j in active if cr[j][j]), None)
         if piv is None:
             # zero diagonal: any off-diagonal entry certifies indefiniteness
             for p in active:
                 for q in active:
-                    if q > p and work[p][q]:
-                        alpha = -work[p][q]
-                        v = tuple(alpha * trans[i][p] + trans[i][q]
-                                  for i in range(n))
-                        val = -GQ(2) * GQ(alpha.norm2())
-                        return PSDResult(False, v, val)
+                    if q > p and (cr[q][p] or ci[q][p]):
+                        s = den * cr[p][n + p] * cr[q][n + q]
+                        alpha = GQ(Fraction(-cr[q][p], s),
+                                   Fraction(-ci[q][p], s))
+                        v = tuple(alpha * x + y
+                                  for x, y in zip(column(p), column(q)))
+                        return PSDResult(False, v,
+                                         -GQ(2) * GQ(alpha.norm2()))
             return PSDResult(True)
-        d = work[piv][piv]
-        if d.re < 0:
-            return PSDResult(False, column(piv), d)
+        d = cr[piv][piv]
+        if d < 0:
+            return PSDResult(False, column(piv),
+                             GQ(Fraction(d, den * cr[piv][n + piv] ** 2)))
         active.remove(piv)
         for k in active:
-            f = work[piv][k] / d
-            if not f:
-                continue
-            # column op: col_k -= f col_piv, and the matching row op
-            for i in range(n):
-                trans[i][k] = trans[i][k] - f * trans[i][piv]
-            for i in range(n):
-                work[i][k] = work[i][k] - f * work[i][piv]
-            fc = f.conj()
-            for jcol in range(n):
-                work[k][jcol] = work[k][jcol] - fc * work[piv][jcol]
+            fr, fi = cr[k][piv], ci[k][piv]
+            if fr or fi:
+                yr, yi = cr[piv], ci[piv]
+                xr = [d * x - fr * u + fi * v
+                      for x, u, v in zip(cr[k], yr, yi)]
+                xi = [d * x - fr * v - fi * u
+                      for x, u, v in zip(ci[k], yr, yi)]
+                g = gcd(*xr[n:], *xi[n:])
+                xr[k] = d * xr[k] // g  # the row step scales W[k][k] by d
+                cr[k] = [x // g for x in xr]
+                ci[k] = [x // g for x in xi]
+                for j in range(n):
+                    if j != k:
+                        cr[j][k], ci[j][k] = cr[k][j], -ci[k][j]
     return PSDResult(True)
 
 
@@ -287,22 +294,6 @@ def check_exists_equals_range_of_expectation(N: StarAlgebra, p) -> bool:
     ex = exists_alg(N, p)
     supp = range_projection(conditional_expectation(N, p))
     return ex == supp == exists_alg(N, supp)
-
-
-def range_projection_is_polynomial(x) -> bool:
-    """The support projection of a PSD matrix is a constant-free
-    polynomial in it; found by one exact linear solve."""
-    x = la.mat(x)
-    n = len(x)
-    powers = []
-    cur = x
-    for _ in range(n):
-        powers.append(la.flatten(cur))
-        cur = la.matmul(cur, x)
-    target = la.flatten(range_projection(x))
-    # solve sum_k c_k x^{k+1} = P(x) for the c_k
-    cols = tuple(tuple(p[r] for p in powers) for r in range(n * n))
-    return la.solve(cols, target) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import permutations, product
-from math import comb, prod
+from math import comb, lcm, prod
 
 from . import linalg as la
 from .gq import GQ, ONE, ZERO
@@ -75,11 +75,49 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v) -> bool:
-        return la.in_rowspace(self.basis, _check_length(self.dim, v))
+        return self._spans(la.int_row(_check_length(self.dim, v)))
 
     def leq(self, other: "Subspace") -> bool:
         _check_dims(self, other)
-        return all(other.contains(row) for row in self.basis)
+        return all(other._spans(row) for row in self.rows)
+
+    def _spans(self, w) -> bool:
+        """Whether the Gaussian-integer row w = (re, im) lies in this
+        subspace: each row, p at its pivot c, clears c by w <- p w - w[c] row
+        and leaves the other pivots alone, so w lies in it iff it ends zero."""
+        w_re, w_im = w
+        for (a, b), c in zip(self.rows, self.pivots):
+            p, f, g = a[c], w_re[c], w_im[c]
+            if f or g:
+                w_re = [p * x - f * u + g * v for x, u, v in zip(w_re, a, b)]
+                w_im = [p * y - f * v - g * u for y, u, v in zip(w_im, a, b)]
+        return not any(w_re) and not any(w_im)
+
+    def project(self, v) -> tuple:
+        """The orthogonal projection of v onto this subspace, as GQ."""
+        den, re, im = la._den_row(_check_length(self.dim, v))
+        M, L = self._projector
+        return la.gq_vector(la.int_matvec(M, (re, im)), L * den)
+
+    @cached_property
+    def _projector(self) -> tuple:
+        """(M, L): the orthogonal projection onto this subspace is M / L,
+        M a Gaussian-integer matrix of rows (re, im).  M[a][b] is C_a .
+        H conj(C_b) for the columns C of the rows R, where H / L is the
+        inverse of the Gram matrix G[j][l] = conj(R_j) . R_l, read off one
+        echelon form of [G | I].  Kept like basis, out of ==."""
+        k, rows = self.rank, self.rows
+        gram = [la.int_matvec(rows, (a, [-y for y in b])) for a, b in rows]
+        red, _ = la.echelon([(re + [int(i == j) for j in range(k)],
+                              im + [0] * k)
+                             for i, (re, im) in enumerate(gram)])
+        L = lcm(*(a[j] for j, (a, _) in enumerate(red)))
+        H = [([L // a[j] * x for x in a[k:]], [L // a[j] * y for y in b[k:]])
+             for j, (a, b) in enumerate(red)]
+        cols = [([a[i] for a, _ in rows], [b[i] for _, b in rows])
+                for i in range(self.dim)]
+        hc = [la.int_matvec(H, (a, [-y for y in b])) for a, b in cols]
+        return tuple(la.int_matvec(hc, c) for c in cols), L
 
 
 def _check_length(dim: int, v) -> tuple:

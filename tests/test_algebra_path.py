@@ -1,0 +1,211 @@
+"""Differential tests for the algebra job path on Gaussian-integer rows.
+
+Subspace.contains and leq reduce one integer row against the canonical
+rows, the orthogonal projector and the conditional expectation read one
+integer matrix kept on the Subspace, invariant_closure multiplies integer
+matrices into integer rows, and psd_certificate runs its congruence
+reduction fraction-free.  algebra_path_oracle keeps the GQ versions; on
+random Gaussian subspaces, algebras and Hermitian matrices both must give
+equal results, certificates down to the witness and the value.
+"""
+
+import pickle
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import algebra_path_oracle as oracle
+import omlkit.linalg as la
+import omlkit.matrixalg as ma
+from omlkit.gq import GQ, ZERO
+from omlkit.subspaces import Subspace
+
+# Gaussian rationals with small parts and denominators; about half are zero
+_part = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+scalars = st.one_of(st.just(ZERO), st.builds(GQ, _part, _part))
+_small = st.builds(GQ, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def subspace_and_vectors(draw):
+    """A subspace of GQ^d, d from 1 to 6, spanned by up to d random rows,
+    a second such subspace, a random vector and a combination of the
+    spanning rows."""
+    d = draw(st.integers(1, 6))
+    row = st.tuples(*[scalars] * d)
+    spans = [draw(st.lists(row, max_size=d)) for _ in range(2)]
+    a, b = (Subspace(d, s) for s in spans)
+    v = draw(row)
+    coeffs = [draw(scalars) for _ in spans[0]]
+    inside = tuple(sum((c * r[i] for c, r in zip(coeffs, spans[0])), ZERO)
+                   for i in range(d))
+    return a, b, v, inside
+
+
+def _projection(v):
+    outer = tuple(tuple(x * y.conj() for y in v) for x in v)
+    return la.scale(GQ(1) / la.inner(v, v), outer)
+
+
+@st.composite
+def algebra_and_inputs(draw):
+    """An algebra of one or two rank-one projections in M_2 to M_4, a
+    random matrix and a random rank-one projection."""
+    n = draw(st.integers(2, 4))
+    vector = st.lists(_small, min_size=n, max_size=n).filter(any)
+    gens = [_projection(draw(vector))
+            for _ in range(draw(st.integers(1, 2)))]
+    x = tuple(tuple(draw(scalars) for _ in range(n)) for _ in range(n))
+    return ma.build_algebra(n, gens), x, _projection(draw(vector))
+
+
+@st.composite
+def hermitian(draw):
+    """A Hermitian matrix of size 0 to 6: random entries, the same with a
+    zero diagonal, or a Gram matrix of random vectors (PSD, maybe
+    singular), each possibly less a positive multiple of the identity."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("random", "zero-diagonal", "gram")))
+    if kind == "gram":
+        vs = [[draw(_small) for _ in range(n)]
+              for _ in range(draw(st.integers(1, 6)))]
+        a = [[sum((v[i].conj() * v[j] for v in vs), ZERO) for j in range(n)]
+             for i in range(n)]
+    else:
+        a = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            if kind == "random":
+                a[i][i] = GQ(draw(_part))
+            for j in range(i + 1, n):
+                a[i][j] = draw(scalars)
+                a[j][i] = a[i][j].conj()
+    shift = draw(st.sampled_from((0, 0, 1, Fraction(1, 3))))
+    return tuple(tuple(x - shift if i == j else x for j, x in enumerate(row))
+                 for i, row in enumerate(a))
+
+
+def _same_certificate(a):
+    got, want = ma.psd_certificate(a), oracle.psd_certificate(a)
+    assert (got.is_psd, got.witness, got.value) == \
+        (want.is_psd, want.witness, want.value)
+    assert repr(got) == repr(want)
+    return got
+
+
+# ---------------------------------------------------------------------------
+# Subspace: membership, inclusion, projector
+
+
+@settings(max_examples=150)
+@given(subspace_and_vectors())
+def test_contains_and_leq_match_oracle(case):
+    a, b, v, inside = case
+    assert a.contains(v) == oracle.contains(a, v)
+    assert a.contains(inside) and oracle.contains(a, inside)
+    for low, high in ((a, b), (b, a), (a, a)):
+        assert low.leq(high) == \
+            all(oracle.contains(high, r) for r in low.basis)
+
+
+@settings(max_examples=150)
+@given(subspace_and_vectors())
+def test_projector_matches_oracle(case):
+    a, _, v, inside = case
+    P = ma.projector_onto(a)
+    assert P == oracle.projector_onto(a)
+    assert repr(P) == repr(oracle.projector_onto(a))
+    assert a.project(v) == la.matvec(P, v)
+    assert a.project(inside) == inside
+
+
+def test_projector_of_the_zero_and_full_spaces():
+    for d in (1, 4):
+        assert ma.projector_onto(Subspace.zero(d)) == la.zeros(d, d)
+        assert ma.projector_onto(Subspace.full(d)) == la.eye(d)
+
+
+def test_projector_pickles_with_its_subspace():
+    s = Subspace(3, [(1, GQ(0, 1), 2), (0, 1, GQ(1, -1))])
+    P = ma.projector_onto(s)
+    back = pickle.loads(pickle.dumps(s))
+    assert "_projector" in vars(back)
+    assert back == s and hash(back) == hash(s) and repr(back) == repr(s)
+    assert ma.projector_onto(back) == P
+
+
+# ---------------------------------------------------------------------------
+# algebras: expectation, invariant closure, quantifier
+
+
+@settings(max_examples=40)
+@given(algebra_and_inputs())
+def test_expectation_matches_oracle(case):
+    N, x, p = case
+    for y in (x, p, la.eye(N.n)):
+        got = ma.conditional_expectation(N, y)
+        assert got == oracle.conditional_expectation(N, y)
+        assert repr(got) == repr(oracle.conditional_expectation(N, y))
+
+
+@settings(max_examples=40)
+@given(algebra_and_inputs())
+def test_invariant_closure_matches_oracle(case):
+    N, x, p = case
+    C = ma.commutant(N)
+    for start in (ma.range_space(p), ma.range_space(x)):
+        assert ma.invariant_closure(C.span.rows, start) == \
+            oracle.invariant_closure(C.basis, start)
+        assert ma.invariant_closure(N.span.rows + C.span.rows, start) == \
+            oracle.invariant_closure(N.basis + C.basis, start)
+    assert ma.exists_alg(N, p) == oracle.projector_onto(
+        oracle.invariant_closure(C.basis, ma.range_space(p)))
+    assert ma.central_carrier(N, x) == oracle.projector_onto(
+        oracle.invariant_closure(N.basis + C.basis, ma.range_space(x)))
+
+
+def test_invariant_closure_takes_as_many_rounds_as_needed():
+    # the shift e_0 -> e_1 -> e_2 reaches e_2 only in the second round; the
+    # matrices of an algebra need one round, as they span their products
+    shift = la.mat(((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    start = Subspace(3, [(1, 0, 0)])
+    rows = Subspace(9, [la.flatten(shift)]).rows
+    assert ma.invariant_closure(rows, start) == Subspace.full(3) == \
+        oracle.invariant_closure([shift], start)
+    assert ma.invariant_closure(rows, Subspace(3, [(0, 0, 1)])).rank == 1
+
+
+# ---------------------------------------------------------------------------
+# fraction-free PSD certificate
+
+
+@settings(max_examples=300)
+@given(hermitian())
+def test_psd_certificate_matches_oracle(a):
+    _same_certificate(a)
+
+
+def test_psd_certificate_on_each_outcome():
+    # a zero diagonal with a non-zero off-diagonal entry, a negative pivot,
+    # and a PSD input whose first diagonal entry is zero
+    zero_diagonal = ((0, GQ(1, 2)), (GQ(1, -2), 0))
+    res = _same_certificate(zero_diagonal)
+    assert not res.is_psd and res.value == -10
+    res = _same_certificate(((1, 2), (2, 1)))
+    assert not res.is_psd and res.value == -3
+    assert _same_certificate(((0, 0), (0, 2))).is_psd
+
+
+def test_psd_certificate_on_a_dense_16x16_gram_matrix():
+    # without content removal the entries double in bit length at every
+    # pivot, and this input does not finish
+    rng = random.Random(16)
+    vs = [[GQ(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(16)]
+          for _ in range(16)]
+    gram = tuple(tuple(sum((v[i].conj() * v[j] for v in vs), ZERO)
+                       for j in range(16)) for i in range(16))
+    assert _same_certificate(gram).is_psd
+    shifted = tuple(tuple(x - 10**6 if i == j else x
+                          for j, x in enumerate(row))
+                    for i, row in enumerate(gram))
+    assert not _same_certificate(shifted).is_psd

@@ -1,5 +1,5 @@
-"""Malformed dims, index fields, index keys and labels, and frames past
-their size guards, are refused, never coerced: the loader raises
+"""Malformed dims, index fields, index keys and labels, and frames and
+algebras past their size guards, are refused, never coerced: the loader raises
 FormatError and `omlkit check` exits 2 without a traceback."""
 
 import json
@@ -18,8 +18,8 @@ def _fixture(name):
     return json.loads((FIXTURES / name).read_text())
 
 
-def _algebra(dim):
-    return {"dim": dim, "generators": []}
+def _algebra(dim, generators=0):
+    return {"dim": dim, "generators": [[["1"]]] * generators}
 
 
 def _quantifier(bad):
@@ -97,6 +97,8 @@ CASES = {
     "dim-null": ("algebra", fo.load_algebra, _algebra(None)),
     "dim-17": ("algebra", fo.load_algebra, _algebra(17)),
     "dim-negative": ("algebra", fo.load_algebra, _algebra(-1)),
+    "too-many-generators": ("algebra", fo.load_algebra,
+                            _algebra(1, fo.MAX_ALGEBRA_GENERATORS + 1)),
     "map-string": ("quantifier", fo.load_quantifier, _quantifier("x")),
     "map-float": ("quantifier", fo.load_quantifier, _quantifier(0.7)),
     "map-integral-float": ("quantifier", fo.load_quantifier,
@@ -210,6 +212,14 @@ def test_algebra_dim_bound():
     assert fo.load_algebra(_algebra(16)).n == 16
     with pytest.raises(fo.FormatError):
         fo.load_algebra(_algebra(17))
+
+
+def test_algebra_generator_bound():
+    k = fo.MAX_ALGEBRA_GENERATORS
+    assert fo.load_algebra(_algebra(1, k)).dim == 1
+    message = "%d generators exceed the limit of %d" % (k + 1, k)
+    with pytest.raises(fo.FormatError, match=message):
+        fo.load_algebra(_algebra(1, k + 1))
 
 
 def test_valid_index_fields_still_load():

@@ -165,12 +165,29 @@ def test_central_carrier_block_diagonal():
     assert ma.central_carrier(full, la.mat([[1, 0], [0, 0]])) == la.eye(2)
 
 
+def range_projection_is_polynomial(x) -> bool:
+    """The support projection of a PSD matrix is a constant-free
+    polynomial in it; found by one exact linear solve.  Kept here, where
+    it is used: no library path needs it."""
+    x = la.mat(x)
+    n = len(x)
+    powers = []
+    cur = x
+    for _ in range(n):
+        powers.append(la.flatten(cur))
+        cur = la.matmul(cur, x)
+    target = la.flatten(ma.range_projection(x))
+    # solve sum_k c_k x^{k+1} = P(x) for the c_k
+    cols = tuple(tuple(p[r] for p in powers) for r in range(n * n))
+    return la.solve(cols, target) is not None
+
+
 def test_range_projection_is_polynomial():
-    assert ma.range_projection_is_polynomial(
+    assert range_projection_is_polynomial(
         la.mat([[Fraction(1, 2), 0], [0, 0]]))
     half = GQ(1) / GQ(2)
     ones = tuple(tuple(half for _ in range(2)) for _ in range(2))
-    assert ma.range_projection_is_polynomial(ones)
+    assert range_projection_is_polynomial(ones)
 
 
 def test_exists_equals_expectation_support():
@@ -208,6 +225,17 @@ def test_search_expectation_gap_logs_clean():
 def test_contains_rejects_a_matrix_of_another_size():
     with pytest.raises(ValueError):
         ma.diagonal_algebra(2).contains(la.eye(3))
+
+
+def test_contains_and_expectation_reject_a_matrix_of_another_shape():
+    # the 1 x 4 matrix ((1, 0, 0, 1),) has n * n entries, and contains took
+    # it for the identity
+    N = ma.diagonal_algebra(2)
+    for x in (((1, 0, 0, 1),), ((1, 0, 0), (1,)), ((1,), (0,), (0,), (1,))):
+        with pytest.raises(ValueError, match="not a 2 x 2 matrix"):
+            N.contains(x)
+        with pytest.raises(ValueError, match="not a 2 x 2 matrix"):
+            ma.conditional_expectation(N, x)
 
 
 def test_expectation_rejects_a_matrix_of_another_size():

@@ -7,6 +7,7 @@ GQ products directly.  Both must give equal GQ entries on every input.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -127,3 +128,29 @@ def test_inner_conjugates_the_first_argument():
     assert la.inner((i,), (1,)) == GQ(0, -1)
     assert la.inner((1,), (i,)) == i
     assert la.inner((GQ(1, 2),), (GQ(1, 2),)) == 5
+
+
+def test_inner_rejects_vectors_of_different_lengths():
+    # zip cut the longer one short: inner((1, 2, 3), (1, 1)) gave 3
+    for u, v in (((1, 2, 3), (1, 1)), ((1, 1), (1, 2, 3)), ((), (1,))):
+        with pytest.raises(ValueError):
+            la.inner(u, v)
+
+
+def test_matvec_rejects_a_vector_of_another_length():
+    a = la.mat([[1, 2], [3, 4]])
+    for v in ((1,), (1, 2, 3), ()):
+        with pytest.raises(ValueError):
+            la.matvec(a, v)
+    with pytest.raises(ValueError):
+        la.matvec(((1, 2), (3,)), (1, 1))
+
+
+def test_matmul_rejects_mismatched_shapes():
+    a = la.mat([[1, 2], [3, 4]])
+    for x, y in ((a, la.mat([[1, 2]])),            # 2 x 2 times 1 x 2
+                 (la.mat([[1, 2, 3]]), a),         # 1 x 3 times 2 x 2
+                 (a, ((1, 2), (3,))),              # ragged right operand
+                 (((1, 2), (3,)), a)):             # ragged left operand
+        with pytest.raises(ValueError):
+            la.matmul(x, y)

@@ -1,5 +1,6 @@
-"""The derived data that each StarAlgebra keeps: its basis matrices, the
-inverse of its Gram matrix and its commutant.  The commutant is built from
+"""The derived data that each StarAlgebra keeps: its basis matrices, its
+commutant and, on its span, the projector that is its conditional
+expectation, built from the inverse Gram matrix of the span rows.  The commutant is built from
 sparse, distinct integer equations; commutant_oracle solves the dense GQ
 system it was first written with.  The algebra itself, held as a Subspace
 span, is compared with the GQ-rref algebras of star_algebra_oracle."""
@@ -129,13 +130,31 @@ def test_commutant_equations_are_sparse_and_distinct():
                              "echelon_rows": 3 * n * (n - 1) + 1}
 
 
-def test_gram_inverse_is_computed_once(monkeypatch):
+def test_gram_inverse_is_computed_once():
+    # the first expectation echelons [G | I] once, G the 5 x 5 Gram matrix
+    # of the span rows; every later one is an integer matvec
     A, p = _two_projection_algebra()
-    calls = _count(monkeypatch, "inverse")
+    la.reset_counts()
     first = ma.conditional_expectation(A, p)
+    assert la.counts == {"echelon_calls": 1, "echelon_rows": 5}
+    la.reset_counts()
     assert ma.conditional_expectation(A, p) == first
     ma.conditional_expectation(A, la.eye(3))
-    assert len(calls) == 1
+    assert la.counts == {"echelon_calls": 0, "echelon_rows": 0}
+
+
+def test_exists_work_counters():
+    # the commutant (its equations, then their kernel: 42 rows) on the
+    # first call only; then the range of p (3 column rows), two closure
+    # rounds under the 2-dimensional commutant (1 + 2 and 2 + 4 rows) and
+    # the projector's [G | I] (2 rows)
+    A, p = _two_projection_algebra()
+    la.reset_counts()
+    first = ma.exists_alg(A, p)
+    assert la.counts == {"echelon_calls": 6, "echelon_rows": 56}
+    la.reset_counts()
+    assert ma.exists_alg(A, p) == first
+    assert la.counts == {"echelon_calls": 4, "echelon_rows": 14}
 
 
 def test_cached_commutant_equals_fresh_computation():
@@ -164,16 +183,18 @@ def test_center_is_intersection_with_commutant():
 
 def test_cache_is_invisible_to_eq_hash_repr():
     filled, p = _two_projection_algebra()
-    empty = StarAlgebra(filled.n, filled.span)
+    empty = StarAlgebra(filled.n, Subspace(filled.n ** 2, filled.span.basis))
     ma.commutant(filled)
     ma.conditional_expectation(filled, p)
     assert filled.contains(p) == empty.contains(p)
-    assert {"_commutant", "_gram_inverse"} <= set(vars(filled))
-    assert not {"_commutant", "_gram_inverse"} & set(vars(empty))
+    assert "_commutant" in vars(filled) and "_projector" in vars(filled.span)
+    assert "_commutant" not in vars(empty)
+    assert "_projector" not in vars(empty.span)
     assert filled == empty
     assert hash(filled) == hash(empty)
     assert repr(filled) == repr(empty)
     assert "_commutant" not in repr(filled)
+    assert "_projector" not in repr(filled)
     assert len({filled, empty}) == 1
 
 
