@@ -1,8 +1,8 @@
 """Families of quantifiers with diagonals on finite ortholattices.
 
-Axiom checking for the weak and full axiom sets, substitution operators in
-both the classical and the Sasaki form, and the classical set-algebra
-oracle built on a powerset lattice.
+Axiom checking for the weak and full axiom sets, the classical
+substitution operator and the classical set-algebra oracle built on a
+powerset lattice.
 """
 
 from __future__ import annotations
@@ -149,16 +149,6 @@ def substitution_classical(C: CylindricStructure, i: int, j: int, x: int) -> int
     if i == j:
         return x
     return C.c(i, C.base.meet(C.d(i, j), x))
-
-
-def substitution_sasaki(C: CylindricStructure, i: int, j: int, x: int) -> int:
-    """c_i applied to the Sasaki product d_ij .s x; join-preserving because
-    quantifiers and Sasaki products are residuated."""
-    if i == j:
-        return x
-    L = C.base
-    d = C.d(i, j)
-    return C.c(i, L.meet(d, L.join(L.ortho(d), x)))
 
 
 def is_boolean_endomorphism(C: CylindricStructure, i: int, j: int) -> bool:

@@ -228,27 +228,6 @@ def parse_scalar(text: str):
         raise FormatError(str(exc))
 
 
-def load_subspace(obj):
-    """{"factors": [d1,...], "basis": [[scalar,...],...]} with row-major
-    coordinates; returns (layout, subspace)."""
-    factors = _need(obj, "factors", list)
-    for d in factors:
-        # 2.7, true and "2" are refused, not read as 2, 1 and 2
-        if type(d) is not int or d < 1:
-            raise FormatError("factors must be positive ints, got %r" % (d,))
-    try:
-        layout = TensorLayout(tuple(factors))
-    except ValueError as exc:
-        raise FormatError(str(exc))
-    rows = _need(obj, "basis", list)
-    vecs = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != layout.dim:
-            raise FormatError("basis row has wrong length")
-        vecs.append([parse_scalar(str(x)) for x in row])
-    return layout, Subspace.from_vectors(layout.dim, vecs)
-
-
 def dump_subspace(layout: TensorLayout, s: Subspace) -> dict:
     return {
         "factors": list(layout.factor_dims),

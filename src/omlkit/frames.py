@@ -12,7 +12,7 @@ from functools import partial
 from itertools import product
 
 from .lattice import DEFAULT_MAX_ELEMENTS, FiniteOL, bits, close
-from .cylindric import CheckReport, CylindricStructure
+from .cylindric import CheckReport
 from .quantifiers import UnaryMap
 
 
@@ -285,23 +285,6 @@ def check_weak_cylindric_frame(F: Orthoframe, rels: dict,
             st.setdefault("W4", (False, (i, j, k)))
     st.setdefault("W4", (True, None))
     return CheckReport(st)
-
-
-def cylindric_closed_set_structure(F: Orthoframe, rels: dict, diags: dict,
-                                   max_elements: int = DEFAULT_MAX_ELEMENTS
-                                   ) -> CylindricStructure:
-    """The closed-set lattice with one quantifier per relation and the
-    diagonal closed sets as distinguished elements."""
-    L, masks = closed_set_lattice(F, max_elements)
-    index = {m: k for k, m in enumerate(masks)}
-    cyl = {i: UnaryMap(L, tuple(index[exists_R(F, R, m)] for m in masks))
-           for i, R in rels.items()}
-    dd = {}
-    for (i, j), d in diags.items():
-        if d not in index:
-            raise ValueError("diagonal (%d,%d) is not a closed set" % (i, j))
-        dd[(i, j)] = index[d]
-    return CylindricStructure(L, tuple(sorted(rels)), cyl, dd)
 
 
 # ---------------------------------------------------------------------------

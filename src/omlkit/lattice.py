@@ -6,8 +6,8 @@ The order is also kept as Python-int bitmasks, one per element: bit y of
 down[x] is set iff y <= x, and bit y of up[x] iff x <= y.  Order checks,
 quantifiers, blocks and frames work on these masks and on whole table rows
 rather than on one pair at a time.  Builders for the canonical small
-structures (chains, Boolean algebras, O6, MO(n), Greechie pastings, direct
-products) live here too.
+structures (chains, Boolean algebras, O6, MO(n), Greechie pastings) live
+here too.
 """
 
 from __future__ import annotations
@@ -248,11 +248,6 @@ def commutes(L: FiniteOL, x: int, y: int) -> bool:
     return x == L.join(L.meet(x, y), L.meet(x, L.ortho(y)))
 
 
-def center(L: FiniteOL) -> frozenset:
-    return frozenset(c for c in L.elements()
-                     if all(commutes(L, c, x) for x in L.elements()))
-
-
 def sasaki_product(L: FiniteOL, x: int, y: int) -> int:
     return L.meet(x, L.join(L.ortho(x), y))
 
@@ -358,23 +353,6 @@ def blocks(L: FiniteOL):
     return sorted(result, key=sorted)
 
 
-@dataclass
-class FoulisHollandResult:
-    precondition_ok: bool
-    distributive: bool
-
-
-def foulis_holland_check(L: FiniteOL, x: int, y: int, z: int) -> FoulisHollandResult:
-    """Distributivity of the sublattice generated by x,y,z when one of them
-    commutes with the other two."""
-    trip = (x, y, z)
-    pre = any(all(commutes(L, a, b) and commutes(L, b, a)
-                  for b in trip if b != a)
-              for a in trip)
-    sub, _ = close(trip, binary=[L.meet, L.join])
-    return FoulisHollandResult(pre, is_distributive_subset(L, sub))
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -420,19 +398,6 @@ def mo(n: int) -> FiniteOL:
         ortho += [2 * i + 2, 2 * i + 1]
     ortho.append(0)
     return ol_from_leq(labels, pairs, ortho)
-
-
-def product_ol(a: FiniteOL, b: FiniteOL) -> FiniteOL:
-    pairs = [(x, y) for x in a.elements() for y in b.elements()]
-    index = {p: i for i, p in enumerate(pairs)}
-    labels = tuple("(%s,%s)" % (a.label(x), b.label(y)) for x, y in pairs)
-    meet_t = tuple(tuple(index[(a.meet(x1, x2), b.meet(y1, y2))]
-                         for x2, y2 in pairs) for x1, y1 in pairs)
-    join_t = tuple(tuple(index[(a.join(x1, x2), b.join(y1, y2))]
-                         for x2, y2 in pairs) for x1, y1 in pairs)
-    ortho_t = tuple(index[(a.ortho(x), b.ortho(y))] for x, y in pairs)
-    return FiniteOL(labels, meet_t, join_t, ortho_t,
-                    index[(a.zero, b.zero)], index[(a.one, b.one)])
 
 
 # ---------------------------------------------------------------------------

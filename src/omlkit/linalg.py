@@ -1,10 +1,12 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Matrices are tuples of tuples of GQ; the functions here never mutate their
-arguments and never leave exact arithmetic.  Elimination runs on integer
-rows: echelon() and kernel() take and return rows as pairs (re, im) of
-Gaussian-integer parts in a canonical primitive form, and rref() and
-nullspace() convert GQ rows in and out at the boundary.
+arguments and never leave exact arithmetic.  They cover products, the
+Kronecker product, inner products, elimination, kernels and inverses.
+Elimination runs on integer rows: echelon() and kernel() take and return
+rows as pairs (re, im) of Gaussian-integer parts in a canonical primitive
+form, and rref(), nullspace() and inverse() convert GQ rows in and out at
+the boundary.
 """
 
 from __future__ import annotations
@@ -292,19 +294,6 @@ def in_rowspace(red: Matrix, v: Vector) -> bool:
             f = w[c]
             w = [x - f * y for x, y in zip(w, row)]
     return not any(w)
-
-
-def solve(a: Matrix, b: Vector):
-    """One exact solution of A x = b, or None if inconsistent."""
-    ncols = len(a[0]) if a else 0
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
-    x = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        x[c] = red[r][ncols]
-    return tuple(x)
 
 
 def inverse(a: Matrix) -> Matrix:

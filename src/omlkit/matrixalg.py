@@ -84,7 +84,7 @@ def _flat(n: int, x) -> tuple:
 
 
 def _span(n: int, mats) -> Subspace:
-    return Subspace(n * n, [la.flatten(m) for m in mats])
+    return Subspace(n * n, [_flat(n, m) for m in mats])
 
 
 def build_algebra(n: int, generators) -> StarAlgebra:
@@ -108,11 +108,6 @@ def commutant(A: StarAlgebra) -> StarAlgebra:
 
 def is_double_commutant_closed(A: StarAlgebra) -> bool:
     return commutant(commutant(A)) == A
-
-
-def center(A: StarAlgebra) -> StarAlgebra:
-    """A intersected with its commutant."""
-    return algebra_intersection(A, commutant(A))
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +155,9 @@ def invariant_closure(mats, sub: Subspace) -> Subspace:
 def exists_alg(N: StarAlgebra, p) -> tuple:
     """Projection onto the smallest commutant(N)-invariant subspace
     containing the range of p; the quantifier induced by N on projections."""
+    _flat(N.n, p)  # raises ValueError unless p is n x n
     return projector_onto(invariant_closure(commutant(N).span.rows,
                                             range_space(p)))
-
-
-def central_carrier(A: StarAlgebra, p) -> tuple:
-    """Smallest projection in the center of A above p."""
-    mats = A.span.rows + commutant(A).span.rows
-    return projector_onto(invariant_closure(mats, range_space(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,28 +170,6 @@ def conditional_expectation(N: StarAlgebra, x) -> tuple:
     product of the flattened matrices, so this is the orthogonal projection
     of the flattened x onto the span, kept on the span."""
     return la.unflatten(N.span.project(_flat(N.n, x)), N.n, N.n)
-
-
-def check_expectation_properties(N: StarAlgebra, samples) -> bool:
-    """E is idempotent onto N, unital, trace preserving and an N-bimodule
-    map, verified exactly on the given sample matrices."""
-    E = lambda x: conditional_expectation(N, x)
-    if E(la.eye(N.n)) != la.eye(N.n):
-        return False
-    for x in samples:
-        ex = E(x)
-        if not N.contains(ex):
-            return False
-        if E(ex) != ex:
-            return False
-        if la.trace(ex) != la.trace(la.mat(x)):
-            return False
-        for b in N.basis:
-            if E(la.matmul(b, x)) != la.matmul(b, ex):
-                return False
-            if E(la.matmul(x, b)) != la.matmul(ex, b):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +289,14 @@ def algebra_intersection(A: StarAlgebra, B: StarAlgebra) -> StarAlgebra:
 
 def random_rank_one_projection(n: int, rng: random.Random):
     while True:
-        v = tuple(GQ(rng.randint(-3, 3), Fraction(rng.randint(-3, 3)))
-                  for _ in range(n))
-        norm = la.inner(v, v)
+        v = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+        norm = sum(a * a + b * b for a, b in v)
         if norm:
             break
-    outer = tuple(tuple(v[i] * v[j].conj() for j in range(n))
-                  for i in range(n))
-    return la.scale(ONE / norm, outer)
+    # v v* / |v|^2, row i from v_i conj(v_j) = (a + bi)(c - di)
+    return tuple(la.gq_vector(([a * c + b * d for c, d in v],
+                               [b * c - a * d for c, d in v]), norm)
+                 for a, b in v)
 
 
 def random_projection_in(L: StarAlgebra, rng: random.Random):
@@ -377,10 +345,6 @@ def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
 # projection lattice quantifier instance
 
 
-def projection_leq(p, q) -> bool:
-    return la.matmul(q, p) == la.mat(p)
-
-
 def scalar_algebra(n: int) -> StarAlgebra:
     # the flattened identity is already a canonical echelon row
     one = tuple(int(i % (n + 1) == 0) for i in range(n * n))
@@ -423,14 +387,3 @@ def search_expectation_gap(n: int, rng: random.Random,
                 gaps.append(p)
         out.append(ExpectationGapRecord(N.dim, samples, tuple(gaps)))
     return out
-
-
-def exists_fixed_points_are_commutant_projections(N: StarAlgebra,
-                                                  projections) -> bool:
-    """E p = p exactly when p lies in the double commutant of N."""
-    NN = commutant(commutant(N))
-    for p in projections:
-        fixed = exists_alg(N, p) == la.mat(p)
-        if fixed != NN.contains(p):
-            return False
-    return True

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import permutations, product
-from math import comb, lcm, prod
+from math import lcm, prod
 
 from . import linalg as la
 from .gq import GQ, ONE, ZERO
@@ -30,7 +30,8 @@ class Subspace:
     """A subspace of GQ^dim, held as the canonical echelon rows and pivots
     of linalg.echelon, so equality of Subspace values is equality of
     subspaces.  Subspace(dim, vectors) is the span of GQ, int or Fraction
-    vectors; basis is the same space as GQ rows in reduced echelon form."""
+    vectors of length dim (ValueError otherwise); basis is the same space
+    as GQ rows in reduced echelon form."""
 
     dim: int
     rows: tuple
@@ -40,7 +41,8 @@ class Subspace:
     _ortho = None
 
     def __init__(self, dim: int, vectors):
-        rows, pivots = la.echelon([la.int_row(v) for v in vectors])
+        rows, pivots = la.echelon([la.int_row(_check_length(dim, v))
+                                   for v in vectors])
         self.__dict__.update(dim=dim, rows=rows, pivots=pivots)
 
     def __eq__(self, other):
@@ -57,7 +59,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(dim: int, vectors) -> "Subspace":
-        return Subspace(dim, [_check_length(dim, v) for v in vectors])
+        return Subspace(dim, vectors)
 
     @staticmethod
     def zero(dim: int) -> "Subspace":
@@ -172,17 +174,6 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     return ortho(join(ortho(a), ortho(b)))
 
 
-def tensor_subspace(a: Subspace, b: Subspace) -> Subspace:
-    d = a.dim * b.dim
-    if d > MAX_AMBIENT_DIM:
-        raise SizeGuardError("tensor ambient dimension %d exceeds guard" % d)
-    vecs = []
-    for ra in a.basis:
-        for rb in b.basis:
-            vecs.append(tuple(x * y for x in ra for y in rb))
-    return Subspace.from_vectors(d, vecs)
-
-
 # ---------------------------------------------------------------------------
 # tensor layouts
 
@@ -293,21 +284,6 @@ def forall_factor(layout: TensorLayout, factors, s: Subspace) -> Subspace:
     return ortho(exists_factor(layout, factors, ortho(s)))
 
 
-def forall_factor_direct(layout: TensorLayout, factors, s: Subspace) -> Subspace:
-    """Membership characterization: (full) x <w> below s for every pure
-    slice; cross-check for forall_factor."""
-    slices = _slices(layout, factors)
-    # w must satisfy: for every ft, the vector e_ft (x) w is in s, i.e. is
-    # orthogonal to ortho(s).
-    constraints = []
-    so = ortho(s)
-    for sl in slices:
-        for row in so.basis:
-            constraints.append(tuple(row[k].conj() for k in sl))
-    sub = Subspace(len(slices[0]), la.nullspace(constraints, len(slices[0])))
-    return embed_alpha(layout, factors, sub)
-
-
 def check_commutation(layout: TensorLayout, i: int, j: int, s: Subspace) -> bool:
     """Iterated one-factor quantifiers in both orders against the grouped
     two-factor quantifier; three independent computations."""
@@ -357,19 +333,6 @@ def _orbit(idx, fs):
             t[k] = v
         out.add(tuple(t))
     return out
-
-
-def diagonal_rank(layout: TensorLayout, factors) -> int:
-    """Symmetric-power dimension times the free factor dimensions."""
-    fs = sorted(set(factors))
-    d = layout.factor_dims[fs[0]]
-    rest = prod(layout.factor_dims[k] for k in range(layout.n) if k not in fs)
-    return comb(d + len(fs) - 1, len(fs)) * rest
-
-
-def check_diagonal_meet(layout: TensorLayout, i: int, j: int, k: int) -> bool:
-    lhs = meet(diagonal(layout, (i, j)), diagonal(layout, (j, k)))
-    return lhs == diagonal(layout, {i, j, k})
 
 
 def check_diagonal_composition(layout: TensorLayout, i: int, j: int, k: int) -> bool:

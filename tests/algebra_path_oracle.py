@@ -3,10 +3,16 @@ Gaussian-integer ones against: the orthogonal projector, the conditional
 expectation through the inverse Gram matrix of the GQ basis, the invariant
 closure under GQ matrices, membership by linalg.in_rowspace and the
 congruence reduction with GQ pivots.  The bodies are those of the previous
-matrixalg and Subspace; only the cached Gram inverse is a function here."""
+matrixalg and Subspace; only the cached Gram inverse is a function here.
+random_rank_one_projection is the GQ outer product that the algebra
+workload's inputs were first drawn with; the Gaussian-integer one must
+draw the same matrices from the same random state."""
+
+import random
+from fractions import Fraction
 
 from omlkit import linalg as la
-from omlkit.gq import GQ
+from omlkit.gq import GQ, ONE
 from omlkit.matrixalg import PSDResult
 from omlkit.subspaces import Subspace
 
@@ -108,3 +114,15 @@ def psd_certificate(a) -> PSDResult:
             for jcol in range(n):
                 work[k][jcol] = work[k][jcol] - fc * work[piv][jcol]
     return PSDResult(True)
+
+
+def random_rank_one_projection(n: int, rng: random.Random):
+    while True:
+        v = tuple(GQ(rng.randint(-3, 3), Fraction(rng.randint(-3, 3)))
+                  for _ in range(n))
+        norm = la.inner(v, v)
+        if norm:
+            break
+    outer = tuple(tuple(v[i] * v[j].conj() for j in range(n))
+                  for i in range(n))
+    return la.scale(ONE / norm, outer)

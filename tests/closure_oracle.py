@@ -6,18 +6,16 @@ omlkit.subspaces.as_cylindric_structure reads the meet table off join and
 ortho by De Morgan; both must give the same structure and the same element
 order, and must refuse the same generators at the size guard.
 
-subalgebra_closure, all_subalgebras, foulis_holland_check and closed_sets
-are the round-based and frontier loops that omlkit.lattice.close replaced;
-they must give the same sets and refuse the same frames.
+subalgebra_closure, all_subalgebras and closed_sets are the round-based
+and frontier loops that omlkit.lattice.close replaced; they must give the
+same sets and refuse the same frames.
 """
 
 from __future__ import annotations
 
 from omlkit.cylindric import CylindricStructure
 from omlkit.frames import Orthoframe
-from omlkit.lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL,
-                            FoulisHollandResult, SizeGuardError, commutes,
-                            is_distributive_subset)
+from omlkit.lattice import DEFAULT_MAX_ELEMENTS, FiniteOL, SizeGuardError
 from omlkit.quantifiers import UnaryMap
 from omlkit.subspaces import (Subspace, TensorLayout, diagonal, exists_factor,
                               join, meet, ortho)
@@ -137,23 +135,6 @@ def all_subalgebras(L: FiniteOL):
                     seen.add(t)
                     queue.append(t)
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-
-def foulis_holland_check(L: FiniteOL, x: int, y: int, z: int) -> FoulisHollandResult:
-    """Distributivity of the sublattice generated by x,y,z when one of them
-    commutes with the other two."""
-    trip = (x, y, z)
-    pre = any(all(commutes(L, a, b) and commutes(L, b, a)
-                  for b in trip if b != a)
-              for a in trip)
-    cur = {x, y, z}
-    while True:
-        new = {L.meet(a, b) for a in cur for b in cur} | \
-              {L.join(a, b) for a in cur for b in cur}
-        if new <= cur:
-            break
-        cur |= new
-    return FoulisHollandResult(pre, is_distributive_subset(L, cur))
 
 
 def closed_sets(F: Orthoframe, max_elements: int = DEFAULT_MAX_ELEMENTS):

@@ -3,12 +3,16 @@
 This is the straightforward elimination over Q[i] that omlkit.linalg.rref
 must agree with, row for row and pivot for pivot.  It is slow but obviously
 correct, and it is used only by the differential tests.
+
+solve reads one solution of a linear system off omlkit.linalg.rref of the
+augmented matrix; the library itself solves no system, so only tests use it.
 """
 
 from __future__ import annotations
 
-from omlkit.gq import ONE
-from omlkit.linalg import Matrix
+import omlkit.linalg as la
+from omlkit.gq import ONE, ZERO
+from omlkit.linalg import Matrix, Vector
 
 
 def rref(rows) -> tuple[Matrix, tuple[int, ...]]:
@@ -41,3 +45,16 @@ def rref(rows) -> tuple[Matrix, tuple[int, ...]]:
             break
     out = tuple(tuple(row) for row in work[:r])
     return out, tuple(pivots)
+
+
+def solve(a: Matrix, b: Vector):
+    """One exact solution of A x = b, or None if inconsistent."""
+    ncols = len(a[0]) if a else 0
+    aug = [list(row) + [bv] for row, bv in zip(a, b)]
+    red, pivots = la.rref(aug)
+    x = [ZERO] * ncols
+    for r, c in enumerate(pivots):
+        if c == ncols:
+            return None
+        x[c] = red[r][ncols]
+    return tuple(x)

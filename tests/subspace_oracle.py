@@ -7,6 +7,10 @@ embed_alpha slice and place GQ entries, and ident is the integer identity
 key (dim, (den, re, im) per row) that Subspace was once compared by.
 omlkit.subspaces works on canonical Gaussian-integer rows instead; both
 must give the same subspaces, rref bases and equalities.
+
+forall_factor_direct and diagonal_rank are independent computations on
+omlkit Subspaces: the universal factor quantifier by its membership
+characterization, and the rank of a diagonal in closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from itertools import product
+from math import comb, prod
 
+import omlkit.linalg as la
+import omlkit.subspaces as sp
 from omlkit.gq import ONE, ZERO
 from omlkit.linalg import _den_row
 from rref_oracle import rref
@@ -105,3 +112,27 @@ def embed_alpha(layout, factors, b: OSub) -> OSub:
 
 def exists_factor(layout, factors, s: OSub) -> OSub:
     return embed_alpha(layout, factors, component_span(layout, factors, s))
+
+
+def forall_factor_direct(layout, factors, s: sp.Subspace) -> sp.Subspace:
+    """Membership characterization: (full) x <w> below s for every pure
+    slice; cross-check for forall_factor."""
+    slices = sp._slices(layout, factors)
+    # w must satisfy: for every ft, the vector e_ft (x) w is in s, i.e. is
+    # orthogonal to ortho(s).
+    constraints = []
+    so = sp.ortho(s)
+    for sl in slices:
+        for row in so.basis:
+            constraints.append(tuple(row[k].conj() for k in sl))
+    sub = sp.Subspace(len(slices[0]),
+                      la.nullspace(constraints, len(slices[0])))
+    return sp.embed_alpha(layout, factors, sub)
+
+
+def diagonal_rank(layout, factors) -> int:
+    """Symmetric-power dimension times the free factor dimensions."""
+    fs = sorted(set(factors))
+    d = layout.factor_dims[fs[0]]
+    rest = prod(layout.factor_dims[k] for k in range(layout.n) if k not in fs)
+    return comb(d + len(fs) - 1, len(fs)) * rest

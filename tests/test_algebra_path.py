@@ -3,10 +3,11 @@
 Subspace.contains and leq reduce one integer row against the canonical
 rows, the orthogonal projector and the conditional expectation read one
 integer matrix kept on the Subspace, invariant_closure multiplies integer
-matrices into integer rows, and psd_certificate runs its congruence
-reduction fraction-free.  algebra_path_oracle keeps the GQ versions; on
-random Gaussian subspaces, algebras and Hermitian matrices both must give
-equal results, certificates down to the witness and the value.
+matrices into integer rows, psd_certificate runs its congruence reduction
+fraction-free, and random_rank_one_projection builds its outer product from
+Gaussian-integer draws.  algebra_path_oracle keeps the GQ versions; on
+random Gaussian subspaces, algebras, Hermitian matrices and seeds both must
+give equal results, certificates down to the witness and the value.
 """
 
 import pickle
@@ -160,8 +161,17 @@ def test_invariant_closure_matches_oracle(case):
             oracle.invariant_closure(N.basis + C.basis, start)
     assert ma.exists_alg(N, p) == oracle.projector_onto(
         oracle.invariant_closure(C.basis, ma.range_space(p)))
-    assert ma.central_carrier(N, x) == oracle.projector_onto(
-        oracle.invariant_closure(N.basis + C.basis, ma.range_space(x)))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32), st.integers(1, 6))
+def test_random_rank_one_projection_matches_oracle(seed, n):
+    # the same matrix, down to repr, and the same draws from the generator
+    rng, orng = random.Random(seed), random.Random(seed)
+    got = ma.random_rank_one_projection(n, rng)
+    want = oracle.random_rank_one_projection(n, orng)
+    assert got == want and repr(got) == repr(want)
+    assert rng.random() == orng.random()
 
 
 def test_invariant_closure_takes_as_many_rounds_as_needed():

@@ -49,13 +49,6 @@ def test_substitution_classical_identity_and_endomorphism():
     assert cy.is_boolean_endomorphism(C, 1, 0)
 
 
-def test_substitution_sasaki_agrees_classically():
-    C = two_by_two()
-    for x in C.base.elements():
-        assert cy.substitution_sasaki(C, 0, 1, x) == \
-            cy.substitution_classical(C, 0, 1, x)
-
-
 def test_broken_diagonal_reported():
     C = two_by_two()
     diag = dict(C.diagonals)

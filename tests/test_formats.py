@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ import omlkit.lattice as lat
 import omlkit.matrixalg as ma
 import omlkit.quantifiers as qu
 import omlkit.subspaces as sp
-from omlkit.gq import GQ
+from omlkit.gq import GQ, parse_gq
 
 
 def same_lattice(a, b):
@@ -115,18 +116,19 @@ def test_subspace_roundtrip():
     lay = sp.TensorLayout((2, 2))
     s = sp.Subspace.from_vectors(4, [[GQ(1), GQ(0, 1), GQ(1, 2), GQ(0)],
                                      [GQ(0), GQ(2), GQ(1), GQ(1)]])
-    lay2, s2 = fo.load_subspace(fo.dump_subspace(lay, s))
-    assert lay2 == lay and s2 == s
+    obj = fo.dump_subspace(lay, s)
+    assert obj["factors"] == [2, 2]
+    assert sp.Subspace(4, [[parse_gq(x) for x in row]
+                           for row in obj["basis"]]) == s
 
 
-def test_subspace_scalar_syntax():
-    obj = {"factors": [2], "basis": [["1/2+3/4 i", "-i"]]}
-    _, s = fo.load_subspace(obj)
-    assert s.rank == 1
+def test_matrix_scalar_syntax():
+    m = fo.parse_matrix([["1/2+3/4 i", "-i"], ["0", "1"]], 2)
+    assert m[0] == (GQ(Fraction(1, 2), Fraction(3, 4)), GQ(0, -1))
     with pytest.raises(fo.FormatError):
-        fo.load_subspace({"factors": [2], "basis": [["1.5", "0"]]})
+        fo.parse_matrix([["1.5", "0"], ["0", "1"]], 2)
     with pytest.raises(fo.FormatError):
-        fo.load_subspace({"factors": [2], "basis": [["1"]]})
+        fo.parse_matrix([["1"], ["0", "1"]], 2)
 
 
 def test_frame_roundtrip():

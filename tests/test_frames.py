@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-import omlkit.cylindric as cy
 import omlkit.frames as fr
 import omlkit.lattice as lat
 import omlkit.quantifiers as qu
@@ -144,20 +143,3 @@ def test_weak_cylindric_frame_detects_bad_diagonal():
     diags[(1, 0)] = 0
     rep = fr.check_weak_cylindric_frame(F, rels, diags)
     assert not rep.ok and "W4" in rep.failed()
-
-
-def test_complex_algebra_matches_classical_oracle():
-    F, rels, diags = classical_cyl_frame(2)
-    C = fr.cylindric_closed_set_structure(F, rels, diags)
-    assert cy.check_cylindric(C, "full").ok
-    oracle = cy.classical_cyl_set_algebra(range(2), range(2))
-    assert C.base.n == oracle.base.n
-
-
-def test_cylindric_closed_set_structure_rejects_open_diagonal():
-    F = fr.Orthoframe((0, 1, 2), (0b010, 0b101, 0b010))
-    rels = {0: (0b111,) * 3}
-    # {0} alone is not closed in this frame ({0}^perp^perp = {0,2})
-    diags = {(0, 0): 0b001}
-    with pytest.raises(ValueError):
-        fr.cylindric_closed_set_structure(F, rels, diags)

@@ -69,12 +69,6 @@ def test_mo_family():
     L = lat.mo(2)
     a1, a2 = L.index_of("a1"), L.index_of("a2")
     assert not lat.commutes(L, a1, a2)
-    assert lat.center(L) == frozenset({L.zero, L.one})
-
-
-def test_center_of_boolean_is_everything():
-    B = lat.boolean_algebra(2)
-    assert lat.center(B) == frozenset(B.elements())
 
 
 def test_sasaki_ops():
@@ -120,19 +114,6 @@ def test_blocks_of_mo2_are_the_pages():
     assert all(len(b) == 4 for b in bs)
 
 
-def test_foulis_holland():
-    L = lat.greechie_lattice([("a", "b", "c"), ("c", "d", "e")])
-    c = L.index_of("c")
-    a, d = L.index_of("a"), L.index_of("d")
-    res = lat.foulis_holland_check(L, c, a, d)
-    assert res.precondition_ok and res.distributive
-    # without a commuting element the conclusion can fail
-    M = lat.mo(2)
-    res2 = lat.foulis_holland_check(M, M.index_of("a1"), M.index_of("a2"),
-                                    M.index_of("a2'"))
-    assert not res2.precondition_ok
-
-
 def test_greechie_two_blocks_shared_atom():
     L = lat.greechie_lattice([("a", "b", "c"), ("c", "d", "e")])
     assert L.n == 12
@@ -155,13 +136,6 @@ def test_greechie_rejects_bad_blocks():
         lat.greechie_lattice([("a", "a", "b")])
     with pytest.raises(lat.LatticeError):
         lat.greechie_lattice([("a",)])
-
-
-def test_product_ol():
-    P = lat.product_ol(lat.boolean_algebra(1), lat.mo(2))
-    assert P.n == 12
-    assert lat.validate_ortholattice(P).ok
-    assert lat.check_orthomodular(P).is_oml
 
 
 def test_enumeration_is_deterministic_and_bounded():

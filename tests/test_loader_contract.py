@@ -269,37 +269,3 @@ def test_frame_relation_bound():
     message = "frame has %d relations, guard is %d" % (k + 1, k)
     with pytest.raises(fo.FormatError, match=message):
         fo.load_frame(_frame_relations(k + 1))
-
-
-SUBSPACE_FACTORS = {
-    "factor-float": [2.7, 2],
-    "factor-integral-float": [2.0],
-    "factor-bool": [2, True],
-    "factor-string": ["2"],
-    "factor-null": [None],
-    "factor-zero": [2, 0],
-    "factor-negative": [-2],
-    "factor-list": [[2]],
-    "factors-empty": [],
-}
-
-
-@pytest.mark.parametrize("factors", list(SUBSPACE_FACTORS.values()),
-                         ids=list(SUBSPACE_FACTORS))
-def test_subspace_factors_refused(factors):
-    # no check kind reads subspace files, so only the loader is exercised
-    with pytest.raises(fo.FormatError):
-        fo.load_subspace({"factors": factors, "basis": []})
-
-
-def test_subspace_factors_that_used_to_be_coerced():
-    # [2.7, true] was read as layout (2, 1) and ["2"] as (2,)
-    for factors in ([2.7, True], ["2"]):
-        with pytest.raises(fo.FormatError, match="factors must be positive"):
-            fo.load_subspace({"factors": factors, "basis": [["1", "0"]]})
-
-
-def test_valid_subspace_factors_still_load():
-    layout, s = fo.load_subspace({"factors": [2, 1, 3],
-                                  "basis": [["1", "0", "0", "0", "0", "i"]]})
-    assert layout.factor_dims == (2, 1, 3) and s.rank == 1

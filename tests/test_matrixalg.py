@@ -6,6 +6,7 @@ import pytest
 import omlkit.linalg as la
 import omlkit.matrixalg as ma
 from omlkit.gq import GQ, I, ONE
+from rref_oracle import solve
 
 
 def test_build_algebra_examples():
@@ -44,8 +45,10 @@ def test_double_commutant():
 
 def test_center_of_block_algebra():
     A = ma.build_algebra(2, [[[1, 0], [0, 0]]])
-    assert ma.center(A).dim == 2  # abelian: center is everything
-    assert ma.center(ma.full_matrix_algebra(2)).dim == 1
+    # the center is the intersection with the commutant
+    assert ma.algebra_intersection(A, ma.commutant(A)).dim == 2  # abelian
+    full = ma.full_matrix_algebra(2)
+    assert ma.algebra_intersection(full, ma.commutant(full)).dim == 1
 
 
 def test_projector_and_range():
@@ -57,12 +60,6 @@ def test_projector_and_range():
     q = ma.range_projection(ones)
     assert ma.is_projection(q) and q == ones  # (1/2)*ones is a projection
     assert ma.range_projection(la.zeros(2, 2)) == la.zeros(2, 2)
-
-
-def test_projection_order():
-    p = la.mat([[1, 0], [0, 0]])
-    assert ma.projection_leq(p, la.eye(2))
-    assert not ma.projection_leq(la.eye(2), p)
 
 
 def test_exists_alg_examples():
@@ -81,7 +78,10 @@ def test_exists_fixed_points_are_projections_of_the_algebra():
     diag = ma.diagonal_algebra(2)
     projs = [la.zeros(2, 2), la.eye(2), la.mat([[1, 0], [0, 0]])]
     projs += [ma.random_rank_one_projection(2, rng) for _ in range(5)]
-    assert ma.exists_fixed_points_are_commutant_projections(diag, projs)
+    # E p = p exactly when p lies in the double commutant
+    double = ma.commutant(ma.commutant(diag))
+    for p in projs:
+        assert (ma.exists_alg(diag, p) == la.mat(p)) == double.contains(p)
 
 
 def test_conditional_expectation_formulas():
@@ -97,12 +97,22 @@ def test_conditional_expectation_formulas():
 
 
 def test_expectation_properties_sampled():
+    # E onto the diagonal algebra is unital and, on each sample, idempotent
+    # onto N, trace preserving and an N-bimodule map
     rng = random.Random(2)
     diag = ma.diagonal_algebra(2)
+    E = lambda x: ma.conditional_expectation(diag, x)
     samples = [la.mat([[GQ(rng.randint(-3, 3), rng.randint(-3, 3))
                         for _ in range(2)] for _ in range(2)])
                for _ in range(6)]
-    assert ma.check_expectation_properties(diag, samples)
+    assert E(la.eye(2)) == la.eye(2)
+    for x in samples:
+        ex = E(x)
+        assert diag.contains(ex) and E(ex) == ex
+        assert la.trace(ex) == la.trace(x)
+        for b in diag.basis:
+            assert E(la.matmul(b, x)) == la.matmul(b, ex)
+            assert E(la.matmul(x, b)) == la.matmul(ex, b)
 
 
 def test_psd_certificates():
@@ -143,28 +153,6 @@ def test_pimsner_popa_trivial_inclusion():
     assert ma.check_pimsner_popa(full, p, 1).is_psd
 
 
-def test_central_carrier_block_diagonal():
-    units = []
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        m = [[0] * 4 for _ in range(4)]
-        m[i][j] = 1
-        units.append(m)
-    for i, j in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        m = [[0] * 4 for _ in range(4)]
-        m[i][j] = 1
-        units.append(m)
-    A = ma.build_algebra(4, units)
-    assert A.dim == 8
-    p = la.mat([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    cc = ma.central_carrier(A, p)
-    assert cc == la.mat([[1, 0, 0, 0], [0, 1, 0, 0],
-                         [0, 0, 0, 0], [0, 0, 0, 0]])
-    assert ma.central_carrier(A, la.zeros(4, 4)) == la.zeros(4, 4)
-    # factors have trivial center: any nonzero projection lifts to identity
-    full = ma.full_matrix_algebra(2)
-    assert ma.central_carrier(full, la.mat([[1, 0], [0, 0]])) == la.eye(2)
-
-
 def range_projection_is_polynomial(x) -> bool:
     """The support projection of a PSD matrix is a constant-free
     polynomial in it; found by one exact linear solve.  Kept here, where
@@ -179,7 +167,7 @@ def range_projection_is_polynomial(x) -> bool:
     target = la.flatten(ma.range_projection(x))
     # solve sum_k c_k x^{k+1} = P(x) for the c_k
     cols = tuple(tuple(p[r] for p in powers) for r in range(n * n))
-    return la.solve(cols, target) is not None
+    return solve(cols, target) is not None
 
 
 def test_range_projection_is_polynomial():
@@ -236,6 +224,23 @@ def test_contains_and_expectation_reject_a_matrix_of_another_shape():
             N.contains(x)
         with pytest.raises(ValueError, match="not a 2 x 2 matrix"):
             ma.conditional_expectation(N, x)
+
+
+def test_build_algebra_rejects_generators_of_another_size():
+    # a 3 x 3 generator gave a 2-dim algebra of M2, and a 2 x 2 one in M3
+    # raised IndexError
+    for n, g in ((2, la.eye(3)), (3, la.eye(2)), (2, ((1, 0), (0,)))):
+        with pytest.raises(ValueError, match="not a %d x %d matrix" % (n, n)):
+            ma.build_algebra(n, [g])
+
+
+def test_exists_alg_rejects_p_of_another_size():
+    # on M3, a 2 x 2 and a 4 x 4 p gave "projections" of their own size,
+    # and a 2 x 3 p was accepted
+    N = ma.diagonal_algebra(3)
+    for p in (la.eye(2), la.eye(4), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match="not a 3 x 3 matrix"):
+            ma.exists_alg(N, p)
 
 
 def test_expectation_rejects_a_matrix_of_another_size():

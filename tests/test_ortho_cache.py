@@ -6,6 +6,7 @@ import random
 import omlkit.linalg as la
 import omlkit.subspaces as sp
 from omlkit.subspaces import Subspace, TensorLayout
+from subspace_oracle import forall_factor_direct
 
 
 def _fresh_ortho(s):
@@ -87,7 +88,7 @@ def test_directly_built_subspace_uses_cache():
     rng = random.Random(12)
     for _ in range(5):
         s = sp.random_subspace(4, rng)
-        assert sp.forall_factor_direct(lay, 0, s) == \
+        assert forall_factor_direct(lay, 0, s) == \
             sp.forall_factor(lay, 0, s)
     direct = Subspace(3, la.nullspace(la.mat([[1, 1, 0]]), 3))
     o = sp.ortho(direct)

@@ -59,19 +59,14 @@ def test_forall_and_residuation():
     L = lat.greechie_lattice([("a", "b", "c"), ("c", "d", "e")])
     for S in lat.blocks(L):
         e = qu.quantifier_from_subalgebra(L, S)
-        f = qu.forall_from_exists(e)
+        # the dual quantifier: forall x = (exists x')'
+        f = [L.ortho(e(L.ortho(x))) for x in L.elements()]
         for x in L.elements():
-            assert L.leq(f(x), x)
-            assert f(L.ortho(e(x))) == L.ortho(e(x))
-        assert qu.check_residuation(L, e).holds
-
-
-def test_residuation_fails_for_non_quantifier():
-    L = lat.boolean_algebra(2)
-    atom = 0b01
-    e = qu.UnaryMap(L, tuple(atom for _ in L.elements()))
-    res = qu.check_residuation(L, e)
-    assert not res.holds and res.witness is not None
+            assert L.leq(f[x], x)
+            assert f[L.ortho(e(x))] == L.ortho(e(x))
+            # exists is residuated with forall as its upper adjoint
+            for y in L.elements():
+                assert L.leq(e(x), y) == L.leq(x, f[y]), (x, y)
 
 
 def test_boolean_equivalence_lemma_exhaustive_ba4():
@@ -96,68 +91,6 @@ def test_q6_holds_on_boolean_but_fails_on_pasting():
     S = next(b for b in lat.blocks(L) if L.index_of("b") in b)
     e = qu.quantifier_from_subalgebra(L, S)
     assert not qu.check_quantifier(L, e).ok("Q6")
-
-
-def test_p_ideal_positive_case():
-    B = lat.boolean_algebra(3)
-    I = frozenset(B.down(0b011))
-    ok, wit, _ = qu.is_p_ideal(B, I)
-    assert ok and wit is None
-    part = qu.congruence_from_ideal(B, I)
-    assert qu.is_congruence(B, part)
-    assert len(part) == 2
-
-
-def test_p_ideal_rejects_mo2_atom_downset():
-    # {0, a} is join/down closed in MO2 but b ^ (a v b') = b escapes it
-    L = lat.mo(2)
-    a = L.index_of("a1")
-    ok, wit, _ = qu.is_p_ideal(L, {L.zero, a})
-    assert not ok
-    assert wit[0] == "p_condition"
-
-
-def test_p_ideal_exists_closure_flag():
-    L = lat.greechie_lattice([("a", "b", "c"), ("c", "d", "e")])
-    e = block_quantifier(L)
-    ok, _, closed = qu.is_p_ideal(L, {L.zero}, e)
-    assert ok and closed
-
-
-def test_congruence_rejects_bad_partition():
-    B = lat.boolean_algebra(2)
-    bad = (frozenset({0, 3}), frozenset({1}), frozenset({2}))
-    assert not qu.is_congruence(B, bad)
-
-
-def test_relative_commutant_closure():
-    L = lat.greechie_lattice([("a", "b", "c"), ("c", "d", "e")])
-    e = qu.quantifier_from_subalgebra(L, lat.subalgebra_closure(
-        L, (L.index_of("c"),)))
-    c = L.index_of("c")
-    ca = qu.relative_commutant_closure(L, e, c)
-    assert ca == frozenset(L.elements())  # c commutes with both blocks
-    with pytest.raises(qu.FixpointRequiredError):
-        qu.relative_commutant_closure(L, e, L.index_of("a"))
-
-
-def test_interval_algebra_product_decomposition():
-    L = lat.greechie_lattice([("a", "b", "c"), ("c", "d", "e")])
-    S = lat.subalgebra_closure(L, (L.index_of("c"),))
-    e = qu.quantifier_from_subalgebra(L, S)
-    c = L.index_of("c")
-    ia = qu.interval_algebra(L, e, c)
-    assert ia.product_iso_verified
-    assert ia.lattice.n == 2
-    rep = qu.check_quantifier(ia.lattice, ia.exists)
-    assert rep.is_quantifier
-
-
-def test_interval_algebra_requires_fixpoint():
-    L = lat.mo(2)
-    e = qu.quantifier_from_subalgebra(L, frozenset({L.zero, L.one}))
-    with pytest.raises(qu.FixpointRequiredError):
-        qu.interval_algebra(L, e, L.index_of("a1"))
 
 
 def test_q6_counterexample_search_is_deterministic():

@@ -6,6 +6,7 @@ import omlkit.subspaces as sp
 from omlkit.gq import GQ, ONE, ZERO
 from omlkit.lattice import SizeGuardError
 from omlkit.subspaces import Subspace, TensorLayout
+from subspace_oracle import diagonal_rank, forall_factor_direct
 
 
 def test_canonical_equality():
@@ -45,13 +46,6 @@ def test_dimension_mismatch_rejected():
         sp.join(Subspace.full(2), Subspace.full(3))
 
 
-def test_tensor_subspace_rank_multiplies():
-    a = Subspace.from_vectors(2, [[1, 1]])
-    b = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
-    t = sp.tensor_subspace(a, b)
-    assert t.dim == 6 and t.rank == 2
-
-
 def test_layout_indexing():
     lay = TensorLayout((2, 3, 2))
     assert lay.dim == 12
@@ -81,11 +75,11 @@ def test_exists_is_closure_operator():
 
 def test_exists_of_pure_tensor():
     lay = TensorLayout((2, 2))
-    a = Subspace.from_vectors(2, [[1, 0]])
+    # e_0 (x) (1, 1), whose factor-0 quantifier is C^2 (x) (1, 1)
+    t = Subspace.from_vectors(4, [[1, 1, 0, 0]])
     b = Subspace.from_vectors(2, [[1, 1]])
-    t = sp.tensor_subspace(a, b)
-    assert sp.exists_factor(lay, 0, t) == \
-        sp.tensor_subspace(Subspace.full(2), b)
+    assert sp.exists_factor(lay, 0, t) == sp.embed_alpha(lay, 0, b) == \
+        Subspace.from_vectors(4, [[1, 1, 0, 0], [0, 0, 1, 1]])
 
 
 def test_forall_agrees_with_membership_characterization():
@@ -98,7 +92,7 @@ def test_forall_agrees_with_membership_characterization():
                      Subspace.from_vectors(8, [[1, 0, 0, 0, 0, 0, 0, 1]]))
     for s in [sp.random_subspace(8, rng) for _ in range(10)] + [tilted]:
         f = sp.forall_factor(lay, 0, s)
-        assert f == sp.forall_factor_direct(lay, 0, s)
+        assert f == forall_factor_direct(lay, 0, s)
         assert f.leq(s)
     assert sp.forall_factor(lay, 0, tilted).rank == 4
 
@@ -140,7 +134,7 @@ def test_diagonal_rank_formula():
                      ((3, 3, 3), (0, 2)), ((2, 2, 2), (0, 1, 2)),
                      ((3, 3, 3), (0, 1, 2)), ((2, 2, 3), (0, 1))]:
         lay = TensorLayout(dims)
-        assert sp.diagonal(lay, fs).rank == sp.diagonal_rank(lay, fs)
+        assert sp.diagonal(lay, fs).rank == diagonal_rank(lay, fs)
 
 
 def test_diagonal_needs_equal_dims():
@@ -150,7 +144,8 @@ def test_diagonal_needs_equal_dims():
 
 def test_diagonal_meet_and_composition():
     lay = TensorLayout((2, 2, 2))
-    assert sp.check_diagonal_meet(lay, 0, 1, 2)
+    assert sp.meet(sp.diagonal(lay, (0, 1)), sp.diagonal(lay, (1, 2))) == \
+        sp.diagonal(lay, (0, 1, 2))
     assert sp.check_diagonal_composition(lay, 0, 1, 2)
     assert sp.check_diagonal_composition(lay, 2, 1, 0)
     with pytest.raises(ValueError):
@@ -169,11 +164,10 @@ def test_c5_counterexample_structure():
 def test_apply_factor_map_respects_structure():
     lay = TensorLayout((2, 2))
     swap = ((ZERO, ONE), (ONE, ZERO))
-    a = Subspace.from_vectors(2, [[1, 0]])
-    b = Subspace.from_vectors(2, [[0, 1]])
-    t = sp.tensor_subspace(a, b)
+    # the swap on factor 0 moves e_0 (x) e_1 to e_1 (x) e_1
+    t = Subspace.from_vectors(4, [[0, 1, 0, 0]])
     moved = sp.apply_factor_map(lay, 0, swap, t)
-    assert moved == sp.tensor_subspace(b, b)
+    assert moved == Subspace.from_vectors(4, [[0, 0, 0, 1]])
 
 
 def test_signed_permutation_unitaries_count():
@@ -223,6 +217,17 @@ def test_contains_rejects_a_vector_of_another_length():
         Subspace.full(2).contains((5, 0, 0))
     with pytest.raises(ValueError):
         Subspace.zero(3).contains((0, 0))
+
+
+def test_subspace_rejects_vectors_of_another_length():
+    # Subspace(4, [(1, 2)]) used to hold a length-2 row in a 4-dim space;
+    # only from_vectors checked
+    for make in (Subspace, Subspace.from_vectors):
+        with pytest.raises(ValueError, match="vector length 2 != ambient 4"):
+            make(4, [(1, 2)])
+        with pytest.raises(ValueError):
+            make(2, [(1, 0), (1, 2, 3)])
+    assert Subspace(2, [(1, 2)]) == Subspace.from_vectors(2, [(1, 2)])
 
 
 def test_leq_rejects_another_ambient_dimension():
