@@ -11,6 +11,7 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
 
 import click
 
@@ -95,7 +96,7 @@ def check(ctx, kind, path, mode):
         report["error"] = "invalid JSON: %s" % exc
         _emit(ctx, report, REFUSED)
     try:
-        code = _run_check(kind, obj, mode, max_size, report)
+        code = _run_check(kind, obj, mode, max_size, report, Path(path).parent)
     except (formats.FormatError, lat.SizeGuardError) as exc:
         report["error"] = str(exc)
         code = REFUSED
@@ -103,7 +104,7 @@ def check(ctx, kind, path, mode):
     _emit(ctx, report, code)
 
 
-def _run_check(kind, obj, mode, max_size, report):
+def _run_check(kind, obj, mode, max_size, report, base_dir):
     if kind == "lattice":
         L = formats.load_lattice(obj, max_size)
         rep = lat.validate_ortholattice(L)
@@ -118,12 +119,12 @@ def _run_check(kind, obj, mode, max_size, report):
         report["orthomodular"] = {"ok": oml.is_oml, "witness": oml.witness}
         return PASS if rep.ok else FAIL
     if kind == "quantifier":
-        L, e = formats.load_quantifier(obj, max_elements=max_size)
+        L, e = formats.load_quantifier(obj, base_dir, max_elements=max_size)
         rep = check_quantifier(L, e)
         report["checks"] = _status_dict(rep.status)
         return PASS if rep.is_quantifier else FAIL
     if kind == "cylindric":
-        C = formats.load_cylindric(obj, max_elements=max_size)
+        C = formats.load_cylindric(obj, base_dir, max_elements=max_size)
         rep = check_cylindric(C, mode)
         report["mode"] = mode
         report["checks"] = _status_dict(rep.status)

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
-from .lattice import DEFAULT_MAX_ELEMENTS, FiniteOL, bits, close
+from .lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL, bits, close,
+                      transitive_closure)
 from .cylindric import CheckReport
 from .quantifiers import UnaryMap
 
@@ -145,25 +145,15 @@ def subset_tables(F: Orthoframe, R):
     return img, orth
 
 
-def check_closure_lemma(F: Orthoframe, R, subsets=None,
-                        rng: random.Random | None = None,
-                        samples: int = 200) -> bool:
+def check_closure_lemma(F: Orthoframe, R) -> bool:
     """For every subset A: R[A]-ortho and its double ortho are closed
-    under R, and R[biortho A] is inside biortho(R[A]).  Exhaustive by
-    table lookups when the point count allows, sampled otherwise."""
-    if subsets is None and F.n <= 12:
-        img, orth = subset_tables(F, R)
-        subsets = range(len(img))
-        img, orth = img.__getitem__, orth.__getitem__
-    else:
-        if subsets is None:
-            rng = rng or random.Random(0)
-            subsets = [rng.randrange(1 << F.n) for _ in range(samples)]
-        img, orth = partial(image, R), partial(orthocomplement, F)
-    for a in subsets:
-        s = orth(img(a))
-        t = orth(s)
-        if img(s) & ~s or img(t) & ~t or img(orth(orth(a))) & ~t:
+    under R, and R[biortho A] is inside biortho(R[A]); exhaustive, by
+    lookups in the subset tables."""
+    img, orth = subset_tables(F, R)
+    for a, ra in enumerate(img):
+        s = orth[ra]
+        t = orth[s]
+        if img[s] & ~s or img[t] & ~t or img[orth[orth[a]]] & ~t:
             return False
     return True
 
@@ -353,15 +343,7 @@ def random_monadic_frame(n: int, rng: random.Random, tries: int = 500):
             for j in range(n):
                 if i != j and rng.random() < 0.3:
                     R[i] |= 1 << j
-        # reflexive-transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                grown = image(R, R[i])
-                if grown & ~R[i]:
-                    R[i] |= grown
-                    changed = True
-        if check_monadic_frame(F, tuple(R)).ok:
-            return F, tuple(R)
+        R = tuple(transitive_closure(R))
+        if check_monadic_frame(F, R).ok:
+            return F, R
     return None

@@ -36,6 +36,16 @@ def bits(mask: int) -> list:
     return out
 
 
+def transitive_closure(rows) -> list:
+    """Close the relation with row masks rows (bit j of rows[i] set iff
+    i R j) under transitivity in place, by Warshall's algorithm."""
+    for k, rk in enumerate(rows):
+        for i, ri in enumerate(rows):
+            if ri >> k & 1:
+                rows[i] = ri | rk
+    return rows
+
+
 def _transpose(rows):
     """Bit i of out[j] is set iff bit j of rows[i] is."""
     out = [0] * len(rows)
@@ -133,11 +143,7 @@ def ol_from_leq(labels, leq_pairs, ortho, *,
         if not (0 <= i < n and 0 <= j < n):
             raise LatticeError("relation pair (%d,%d) out of range" % (i, j))
         up[i] |= 1 << j
-    for k, uk in enumerate(up):  # Warshall, one mask row at a time
-        for i in range(n):
-            if up[i] >> k & 1:
-                up[i] |= uk
-    down = _transpose(up)
+    down = _transpose(transitive_closure(up))
     for i in range(n):
         both = up[i] & down[i] & ~(1 << i)
         if both:

@@ -49,11 +49,11 @@ def adjoint(a: Matrix) -> Matrix:
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in _pairs(a, b))
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in _pairs(a, b))
 
 
 def scale(c, a: Matrix) -> Matrix:
@@ -98,6 +98,13 @@ def _check_lengths(rows, n: int):
     """Raise ValueError unless every row has length n; zip would cut it."""
     if any(len(r) != n for r in rows):
         raise ValueError("operand lengths do not match: expected %d" % n)
+
+
+def _pairs(a: Matrix, b: Matrix):
+    """zip(a, b), after checking that a and b have one m x n shape."""
+    _check_lengths((a,), len(b))
+    _check_lengths((*a, *b), len(b[0]) if b else 0)
+    return zip(a, b)
 
 
 def _dot(r, c) -> GQ:
@@ -253,10 +260,6 @@ def _primitive(a, b):
         a = [x // g for x in a]
         b = [x // g for x in b]
     return a, b
-
-
-def rank(rows) -> int:
-    return len(echelon([int_row(r) for r in rows])[0])
 
 
 def nullspace(rows, ncols: int) -> Matrix:

@@ -88,17 +88,21 @@ def _span(n: int, mats) -> Subspace:
 
 
 def build_algebra(n: int, generators) -> StarAlgebra:
-    """Smallest unital *-algebra containing the generators."""
+    """Smallest unital *-algebra containing the generators: the least
+    subspace of M_n that holds the identity and is invariant under left
+    multiplication by the span rows g of the generators and their adjoints.
+    On a matrix flattened row by row that is g (x) 1, with g[i][k] at row
+    (i, j) and column (k, j)."""
     gens = [la.mat(g) for g in generators]
-    current = StarAlgebra(n, _span(n, [la.eye(n)] + gens
-                                   + [la.adjoint(g) for g in gens]))
-    while True:
-        products = [la.matmul(a, b)
-                    for a in current.basis for b in current.basis]
-        grown = StarAlgebra(n, _span(n, list(current.basis) + products))
-        if grown.dim == current.dim:
-            return grown
-        current = grown
+    nn = n * n
+    mults = []
+    for re, im in _span(n, gens + [la.adjoint(g) for g in gens]).rows:
+        mr, mi = [0] * (nn * nn), [0] * (nn * nn)
+        for i, k, j in product(range(n), repeat=3):
+            at = (i * n + j) * nn + k * n + j
+            mr[at], mi[at] = re[i * n + k], im[i * n + k]
+        mults.append((mr, mi))
+    return StarAlgebra(n, invariant_closure(mults, scalar_algebra(n).span))
 
 
 def commutant(A: StarAlgebra) -> StarAlgebra:

@@ -145,13 +145,10 @@ class Q6Witness:
         }
 
 
-def find_q6_counterexample(max_blocks: int = 4, diagrams=None,
-                           boolean_only: bool = False):
+def find_q6_counterexample(max_blocks: int = 4, boolean_only: bool = False):
     """First OML + Boolean subalgebra + (p,q) with E(p ^ E q) = 0 while
     E p ^ E q != 0, under the deterministic diagram enumeration."""
-    if diagrams is None:
-        diagrams = lat.enumerate_greechie_diagrams(max_blocks)
-    for diagram in diagrams:
+    for diagram in lat.enumerate_greechie_diagrams(max_blocks):
         named = [tuple("a%s" % a for a in blk) for blk in diagram]
         try:
             L = lat.greechie_lattice(named)

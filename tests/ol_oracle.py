@@ -54,6 +54,28 @@ def _transitive_closure(rel, n):
     return rel
 
 
+def random_monadic_frame(n: int, rng: random.Random, tries: int = 500):
+    for _ in range(tries):
+        F = frames.random_orthoframe(n, rng)
+        R = [1 << i for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < 0.3:
+                    R[i] |= 1 << j
+        # reflexive-transitive closure
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                grown = image(R, R[i])
+                if grown & ~R[i]:
+                    R[i] |= grown
+                    changed = True
+        if frames.check_monadic_frame(F, tuple(R)).ok:
+            return F, tuple(R)
+    return None
+
+
 def ol_from_leq(labels, leq_pairs, ortho, *,
                 max_elements=DEFAULT_MAX_ELEMENTS):
     n = len(labels)

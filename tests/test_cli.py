@@ -53,6 +53,32 @@ def test_check_cylindric_weak_vs_full():
     assert report["checks"]["C5"]["witness"] is not None
 
 
+@pytest.mark.parametrize("kind, fixture", [
+    ("quantifier", "quantifier_mo2.json"),
+    ("cylindric", "classical_cylindric_2x2.json"),
+])
+def test_lattice_file_is_read_beside_the_input(tmp_path, monkeypatch, kind,
+                                               fixture):
+    # "lattice": "<file>" names a file in the input file's directory, not
+    # in the current one
+    data = json.loads((FIXTURES / fixture).read_text())
+    inline = run("--json", "-", "check", kind, str(FIXTURES / fixture))
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "lat.json").write_text(json.dumps(data["lattice"]))
+    data["lattice"] = "lat.json"
+    (tmp_path / "data" / "in.json").write_text(json.dumps(data))
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    for path in (str(tmp_path / "data" / "in.json"),
+                 os.path.join("..", "data", "in.json")):
+        res = run("--json", "-", "check", kind, path)
+        assert res.exit_code == inline.exit_code, res.output
+        assert json.loads(res.output)["checks"] == \
+            json.loads(inline.output)["checks"]
+    monkeypatch.chdir(tmp_path / "data")
+    assert run("check", kind, "in.json").exit_code == inline.exit_code
+
+
 def test_check_frame_pass_and_malformed():
     assert run("check", "frame",
                str(FIXTURES / "frame_monadic.json")).exit_code == 0

@@ -63,7 +63,7 @@ def test_nullspace_annihilates():
     rng = random.Random(4)
     a = rand_mat(rng, 3, 5)
     ns = la.nullspace(a, 5)
-    assert len(ns) == 5 - la.rank(a)
+    assert len(ns) == 5 - len(la.rref(a)[0])
     for v in ns:
         assert all(x == ZERO for x in la.matvec(a, v))
 

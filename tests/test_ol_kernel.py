@@ -134,6 +134,27 @@ def test_bowtie_names_first_pair(labels, message):
         assert str(exc.value) == message
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.integers(0, 2 ** n - 1), min_size=n, max_size=n)))
+def test_transitive_closure_matches_oracle(rows):
+    n = len(rows)
+    want = oracle._transitive_closure([set(lat.bits(r)) for r in rows], n)
+    work = list(rows)
+    assert lat.transitive_closure(work) is work
+    assert [set(lat.bits(r)) for r in work] == want
+
+
+def test_random_monadic_frames_match_oracle():
+    # the same frames, and the same draws, for the same seeds
+    for n in range(1, 13):
+        for seed in range(4):
+            rng, old_rng = random.Random(seed), random.Random(seed)
+            assert fr.random_monadic_frame(n, rng, tries=50) == \
+                oracle.random_monadic_frame(n, old_rng, tries=50)
+            assert rng.random() == old_rng.random()
+
+
 def _closed_up(rel):
     labels, pairs, _ = rel
     n = len(labels)
@@ -243,6 +264,15 @@ def test_frames_match_oracle(frame):
     assert _tables(L) == _tables(old_L)
 
 
+def test_closure_lemma_fails_on_the_double_ortho_alone():
+    # classical frame on 3 points, R = 0 -> {0,1,2}, 1 -> {}, 2 -> {0,2}:
+    # for A = {2}, R[A]-ortho {1} is closed under R and R[A] lies in its
+    # double ortho {0,2}, but {0,2} is not closed: R[0] holds 1
+    F, R = fr.classical_perp(3), (0b111, 0, 0b101)
+    assert not oracle.check_closure_lemma(F, R)
+    assert not fr.check_closure_lemma(F, R)
+
+
 def test_subset_tables_and_sampled_lemma():
     rng = random.Random(7)
     F = fr.random_orthoframe(6, rng)
@@ -250,8 +280,10 @@ def test_subset_tables_and_sampled_lemma():
     img, orth = fr.subset_tables(F, R)
     assert img == [fr.image(R, a) for a in range(64)]
     assert orth == [fr.orthocomplement(F, a) for a in range(64)]
-    # given subsets and more than 12 points take the per-set path
-    assert fr.check_closure_lemma(F, R, subsets=range(64)) == \
-        fr.check_closure_lemma(F, R)
+    # the oracle's per-set loop over every subset is the reference, also
+    # past the 12 points where it would sample
+    assert fr.check_closure_lemma(F, R) == \
+        oracle.check_closure_lemma(F, R, subsets=range(2 ** 6))
     F, R = fr.random_monadic_frame(13, random.Random(3))
-    assert fr.check_closure_lemma(F, R) == oracle.check_closure_lemma(F, R)
+    assert fr.check_closure_lemma(F, R) == \
+        oracle.check_closure_lemma(F, R, subsets=range(2 ** 13))

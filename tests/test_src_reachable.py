@@ -5,9 +5,13 @@ definition that only its own unit tests call belongs in tests/ (as an
 oracle) or nowhere; the few kept on purpose are listed in ALLOWED with
 their reason.
 
-A reference is a Name or Attribute node with the definition's name, outside
-the definition itself.  perfbench/ is only read; there a string constant
-that is a dotted name counts too, so the tracer's WRAPPED table counts."""
+A reference counts only when it resolves to the defining module: a bare
+Name inside that module, a name bound by `from .m import x` (or `from
+omlkit.m import x`), or an attribute of a module alias such as `la.x`
+after `from . import linalg as la` or `import omlkit.linalg as la`.  A
+definition's own statement does not count.  perfbench/ is only read;
+there a string constant that is a dotted name also counts, part by part
+and unqualified, so the tracer's WRAPPED table counts."""
 
 import ast
 import re
@@ -31,17 +35,60 @@ ALLOWED = {
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
-def _names(node, strings=False) -> set:
+def _aliases(tree) -> dict:
+    """Local name -> the dotted path in the package it is bound to by an
+    import: la -> "linalg" for `import omlkit.linalg as la` or `from .
+    import linalg as la`, sub_meet -> "subspaces.meet" for `from
+    .subspaces import meet as sub_meet`, omlkit -> "" for `import omlkit`."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "omlkit":
+                    if a.asname:
+                        out[a.asname] = a.name[len("omlkit."):]
+                    else:
+                        out["omlkit"] = ""
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base.split(".")[0] != "omlkit":
+                    continue
+                base = base[len("omlkit."):]
+            for a in node.names:
+                out[a.asname or a.name] = ".".join(
+                    p for p in (base, a.name) if p)
+    return out
+
+
+def _refs(node, aliases, module=None) -> set:
+    """The package paths node references, each with its prefixes: a Name,
+    or the Name at the root of an attribute chain, resolved through
+    aliases, or inside module, when no import binds it, to module.name."""
     out = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-        elif strings and isinstance(n, ast.Constant) \
-                and isinstance(n.value, str) and _DOTTED.fullmatch(n.value):
-            out.update(n.value.split("."))
+        root, chain = n, []
+        while isinstance(root, ast.Attribute):
+            chain.append(root.attr)
+            root = root.value
+        if not isinstance(root, ast.Name):
+            continue
+        if root.id in aliases:
+            head = aliases[root.id]
+        elif module is not None:
+            head = "%s.%s" % (module, root.id)
+        else:
+            continue
+        parts = [p for p in head.split(".") if p] + chain[::-1]
+        out.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
     return out
+
+
+def _strings(tree) -> set:
+    """The parts of every string constant that is a dotted name."""
+    return {part for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and _DOTTED.fullmatch(n.value) for part in n.value.split(".")}
 
 
 def _is_command(stmt) -> bool:
@@ -53,17 +100,24 @@ def _is_command(stmt) -> bool:
 def _census():
     """(definitions, unreached): every module.name defined at module level
     in src/omlkit, and those that nothing outside their own tests reaches."""
-    outside = set(omlkit.__all__)
-    outside |= _names(ast.parse((ROOT / "tests" / "test_acceptance.py")
-                                .read_text()))
+    init = ast.parse((SRC / "__init__.py").read_text())
+    outside = {_aliases(init)[name] for name in omlkit.__all__}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py")
+                           .read_text())
+    outside |= _refs(acceptance, _aliases(acceptance))
+    bare = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        outside |= _names(ast.parse(path.read_text()), strings=True)
+        tree = ast.parse(path.read_text())
+        outside |= _refs(tree, _aliases(tree))
+        bare |= _strings(tree)
 
-    # per top-level statement of each module: the names it references
+    # per top-level statement of each module: the paths it references
     stmts = []
     for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            stmts.append((path.stem, stmt, _names(stmt)))
+        tree = ast.parse(path.read_text())
+        aliases = _aliases(tree)
+        for stmt in tree.body:
+            stmts.append((path.stem, stmt, _refs(stmt, aliases, path.stem)))
 
     defined, unreached = set(), set()
     for module, stmt, _ in stmts:
@@ -72,9 +126,9 @@ def _census():
             continue
         name = "%s.%s" % (module, stmt.name)
         defined.add(name)
-        if stmt.name in outside or _is_command(stmt):
+        if name in outside or stmt.name in bare or _is_command(stmt):
             continue
-        if not any(stmt.name in used for _, other, used in stmts
+        if not any(name in used for _, other, used in stmts
                    if other is not stmt):
             unreached.add(name)
     return defined, unreached
