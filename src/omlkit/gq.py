@@ -133,10 +133,12 @@ ZERO = GQ(0)
 ONE = GQ(1)
 I = GQ(0, 1)
 
-_FRAC = r"\d+(?:/\d+)?"
-_RE_PURE_REAL = re.compile(r"^(?P<re>[+-]?%s)$" % _FRAC)
-_RE_PURE_IMAG = re.compile(r"^(?P<im>[+-]?(?:%s)?)i$" % _FRAC)
-_RE_BOTH = re.compile(r"^(?P<re>[+-]?%s)(?P<im>[+-](?:%s)?)i$" % (_FRAC, _FRAC))
+# ASCII digits only; a denominator has a non-zero digit
+_FRAC = r"\d+(?:/0*[1-9]\d*)?"
+_RE_PURE_REAL = re.compile(r"^(?P<re>[+-]?%s)$" % _FRAC, re.ASCII)
+_RE_PURE_IMAG = re.compile(r"^(?P<im>[+-]?(?:%s)?)i$" % _FRAC, re.ASCII)
+_RE_BOTH = re.compile(r"^(?P<re>[+-]?%s)(?P<im>[+-](?:%s)?)i$"
+                      % (_FRAC, _FRAC), re.ASCII)
 
 
 def parse_gq(text: str) -> GQ:

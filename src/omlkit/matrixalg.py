@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 from . import linalg as la
 from .gq import GQ, ONE, ZERO
@@ -90,19 +90,10 @@ def _span(n: int, mats) -> Subspace:
 def build_algebra(n: int, generators) -> StarAlgebra:
     """Smallest unital *-algebra containing the generators: the least
     subspace of M_n that holds the identity and is invariant under left
-    multiplication by the span rows g of the generators and their adjoints.
-    On a matrix flattened row by row that is g (x) 1, with g[i][k] at row
-    (i, j) and column (k, j)."""
+    multiplication by the span rows of the generators and their adjoints."""
     gens = [la.mat(g) for g in generators]
-    nn = n * n
-    mults = []
-    for re, im in _span(n, gens + [la.adjoint(g) for g in gens]).rows:
-        mr, mi = [0] * (nn * nn), [0] * (nn * nn)
-        for i, k, j in product(range(n), repeat=3):
-            at = (i * n + j) * nn + k * n + j
-            mr[at], mi[at] = re[i * n + k], im[i * n + k]
-        mults.append((mr, mi))
-    return StarAlgebra(n, invariant_closure(mults, scalar_algebra(n).span))
+    rows = _span(n, gens + [la.adjoint(g) for g in gens]).rows
+    return StarAlgebra(n, invariant_closure(rows, scalar_algebra(n).span))
 
 
 def commutant(A: StarAlgebra) -> StarAlgebra:
@@ -139,18 +130,36 @@ def is_projection(p) -> bool:
     return p == la.adjoint(p) and la.matmul(p, p) == p
 
 
+def _products(mats, rows, dim: int) -> list:
+    """g X for each n x n matrix g in mats and each row of length dim, read
+    as an n x m matrix X with m = dim // n; matrices and products are
+    flattened row by row as Gaussian-integer rows (re, im).  Entry (i, j)
+    is int_dot of row i of g with column j of X: n^2 m multiply-adds per
+    product, where the nm x nm matrix g (x) 1 would take (nm)^2."""
+    n = isqrt(len(mats[0][0])) if mats else 1
+    m = dim // n
+    gs = [[(re[i:i + n], im[i:i + n]) for i in range(0, n * n, n)]
+          for re, im in mats]
+    xs = [[(re[j::m], im[j::m]) for j in range(m)] for re, im in rows]
+    out = []
+    for g in gs:
+        for cols in xs:
+            dots = [la.int_dot(r, c) for r in g for c in cols]
+            out.append(([x for x, _ in dots], [y for _, y in dots]))
+    return out
+
+
 def invariant_closure(mats, sub: Subspace) -> Subspace:
-    """Smallest subspace containing sub and invariant under each matrix,
-    given flattened as Gaussian-integer rows (re, im) such as the span rows
-    of an algebra: a multiple of a matrix has the same invariant subspaces."""
-    n = sub.dim
-    mats = [[(re[i:i + n], im[i:i + n]) for i in range(0, n * n, n)]
-            for re, im in mats]
+    """Smallest subspace containing sub and invariant under each n x n
+    matrix g, given flattened row by row as Gaussian-integer rows (re, im)
+    such as the span rows of an algebra: a multiple of a matrix has the
+    same invariant subspaces.  A vector of sub is read as an n x m matrix X
+    flattened row by row, m = sub.dim // n, on which g acts as g X: g v on
+    C^n (m = 1), left multiplication on M_n (m = n)."""
     current = sub
     while True:
-        grown = _from_echelon(n, la.echelon(
-            list(current.rows)
-            + [la.int_matvec(m, v) for m in mats for v in current.rows]))
+        grown = _from_echelon(sub.dim, la.echelon(
+            list(current.rows) + _products(mats, current.rows, sub.dim)))
         if grown.rank == current.rank:
             return grown
         current = grown
@@ -158,10 +167,16 @@ def invariant_closure(mats, sub: Subspace) -> Subspace:
 
 def exists_alg(N: StarAlgebra, p) -> tuple:
     """Projection onto the smallest commutant(N)-invariant subspace
-    containing the range of p; the quantifier induced by N on projections."""
+    containing the range of p; the quantifier induced by N on projections.
+
+    That subspace is N' range(p), spanned by the g v for g in the span rows
+    of N' and v in the rows of range(p), in one product step: it holds
+    range(p) because I is in N', it is N'-invariant because h g is in N'
+    for h, g in N', and every N'-invariant subspace holding range(p) holds
+    each g v."""
     _flat(N.n, p)  # raises ValueError unless p is n x n
-    return projector_onto(invariant_closure(commutant(N).span.rows,
-                                            range_space(p)))
+    return projector_onto(_from_echelon(N.n, la.echelon(
+        _products(commutant(N).span.rows, range_space(p).rows, N.n))))
 
 
 # ---------------------------------------------------------------------------

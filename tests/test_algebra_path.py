@@ -174,6 +174,34 @@ def test_random_rank_one_projection_matches_oracle(seed, n):
     assert rng.random() == orng.random()
 
 
+@st.composite
+def matrices_and_start(draw):
+    """One or two arbitrary n x n Gaussian-integer matrices, n from 1 to 4
+    (Hermitian or symmetric only by chance), m in {1, 2, n}, and a
+    subspace of C^(nm) spanned by one to three random rows."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.sampled_from((1, 2, n)))
+    entry = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    gs = draw(st.lists(st.lists(entry, min_size=n * n, max_size=n * n),
+                       min_size=1, max_size=2))
+    row = st.tuples(*[scalars] * (n * m))
+    start = Subspace(n * m, draw(st.lists(row, min_size=1, max_size=3)))
+    return n, m, gs, start
+
+
+@settings(max_examples=60)
+@given(matrices_and_start())
+def test_invariant_closure_on_n_by_m_matches_kron_oracle(case):
+    # a row of length nm is an n x m matrix X flattened row by row, and
+    # g X is g (x) 1_m applied to that row
+    n, m, gs, start = case
+    rows = [([a for a, _ in g], [b for _, b in g]) for g in gs]
+    mats = [la.kron(la.unflatten([GQ(a, b) for a, b in g], n, n), la.eye(m))
+            for g in gs]
+    assert ma.invariant_closure(rows, start) == \
+        oracle.invariant_closure(mats, start)
+
+
 def test_invariant_closure_takes_as_many_rounds_as_needed():
     # the shift e_0 -> e_1 -> e_2 reaches e_2 only in the second round; the
     # matrices of an algebra need one round, as they span their products

@@ -191,7 +191,8 @@ GOLDEN_COMMANDS = (
        for f in ("classical_cylindric_2x2.json", "tensor33_cylindric.json")]
     + [("check", "frame", f) for f in
        ("frame_monadic.json", "frame_bad_perp.json")]
-    + [("check", "algebra", "algebra_diagonal.json")]
+    + [("check", "algebra", f) for f in
+       ("algebra_diagonal.json", "algebra_shift_diag8.json")]
     + [("repro", name) for name in ("q6", "c5", "diag", "bell",
                                     "commuting-square", "expectation")]
     + [("search", "q6"), ("search", "q6", "--max-blocks", "6"),

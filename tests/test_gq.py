@@ -2,6 +2,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from omlkit.gq import GQ, I, ONE, ZERO, format_gq, parse_gq
 
@@ -74,7 +75,9 @@ def test_parse(text, val):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "1+", "i1", "1//2", "1.5"):
+    # zero denominators, and digits outside ASCII such as a fullwidth 1
+    for bad in ("", "x", "1+", "i1", "1//2", "1.5", "1/0", "1/0i", "2+1/0i",
+                "-0/0", "\uff11", "1/2+\u0663i"):
         with pytest.raises(ValueError):
             parse_gq(bad)
 
@@ -84,3 +87,14 @@ def test_format_roundtrip():
             GQ(Fraction(-3, 7), Fraction(5, 9)), GQ(2, -1)]
     for v in vals:
         assert parse_gq(format_gq(v)) == v
+
+
+@given(st.one_of(st.text(), st.text("0123456789/+-i \n\uff11\u0663")))
+def test_parse_returns_a_roundtrip_value_or_raises_value_error(text):
+    # the grammar's own alphabet reaches zero denominators and near-misses
+    # that arbitrary text almost never does
+    try:
+        z = parse_gq(text)
+    except ValueError:
+        return
+    assert isinstance(z, GQ) and parse_gq(format_gq(z)) == z

@@ -99,6 +99,15 @@ CASES = {
     "dim-negative": ("algebra", fo.load_algebra, _algebra(-1)),
     "too-many-generators": ("algebra", fo.load_algebra,
                             _algebra(1, fo.MAX_ALGEBRA_GENERATORS + 1)),
+    "generator-zero-denominator": ("algebra", fo.load_algebra,
+                                   {"dim": 2, "generators": [[["1", "1/0"],
+                                                              ["0", "0"]]]}),
+    "generator-zero-imaginary-denominator": (
+        "algebra", fo.load_algebra,
+        {"dim": 2, "generators": [[["2+1/0i", "0"], ["0", "1/0i"]]]}),
+    "generator-fullwidth-digit": ("algebra", fo.load_algebra,
+                                  {"dim": 2, "generators": [[["\uff11", "0"],
+                                                             ["0", "0"]]]}),
     "map-string": ("quantifier", fo.load_quantifier, _quantifier("x")),
     "map-float": ("quantifier", fo.load_quantifier, _quantifier(0.7)),
     "map-integral-float": ("quantifier", fo.load_quantifier,

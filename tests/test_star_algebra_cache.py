@@ -144,16 +144,16 @@ def test_gram_inverse_is_computed_once():
 
 def test_exists_work_counters():
     # the commutant (its equations, then their kernel: 42 rows) on the
-    # first call only; then the range of p (3 column rows), two closure
-    # rounds under the 2-dimensional commutant (1 + 2 and 2 + 4 rows) and
-    # the projector's [G | I] (2 rows)
+    # first call only; then the range of p (3 column rows), one product
+    # step under the 2-dimensional commutant (2 rows) and the projector's
+    # [G | I] (2 rows)
     A, p = _two_projection_algebra()
     la.reset_counts()
     first = ma.exists_alg(A, p)
-    assert la.counts == {"echelon_calls": 6, "echelon_rows": 56}
+    assert la.counts == {"echelon_calls": 5, "echelon_rows": 49}
     la.reset_counts()
     assert ma.exists_alg(A, p) == first
-    assert la.counts == {"echelon_calls": 4, "echelon_rows": 14}
+    assert la.counts == {"echelon_calls": 3, "echelon_rows": 7}
 
 
 def test_cached_commutant_equals_fresh_computation():
