@@ -135,22 +135,23 @@ I = GQ(0, 1)
 
 # ASCII digits only; a denominator has a non-zero digit
 _FRAC = r"\d+(?:/0*[1-9]\d*)?"
-_RE_PURE_REAL = re.compile(r"^(?P<re>[+-]?%s)$" % _FRAC, re.ASCII)
-_RE_PURE_IMAG = re.compile(r"^(?P<im>[+-]?(?:%s)?)i$" % _FRAC, re.ASCII)
-_RE_BOTH = re.compile(r"^(?P<re>[+-]?%s)(?P<im>[+-](?:%s)?)i$"
+_RE_PURE_REAL = re.compile(r"(?P<re>[+-]?%s)" % _FRAC, re.ASCII)
+_RE_PURE_IMAG = re.compile(r"(?P<im>[+-]?(?:%s)?)i" % _FRAC, re.ASCII)
+_RE_BOTH = re.compile(r"(?P<re>[+-]?%s)(?P<im>[+-](?:%s)?)i"
                       % (_FRAC, _FRAC), re.ASCII)
 
 
 def parse_gq(text: str) -> GQ:
     """Parse a scalar written like '3', '-1/2', 'i', '2i' or '1/2+3/4i'."""
     s = text.replace(" ", "")
-    m = _RE_PURE_REAL.match(s)
+    # fullmatch: a pattern ending in $ would also accept a trailing newline
+    m = _RE_PURE_REAL.fullmatch(s)
     if m:
         return GQ(Fraction(m.group("re")))
-    m = _RE_PURE_IMAG.match(s)
+    m = _RE_PURE_IMAG.fullmatch(s)
     if m:
         return GQ(0, _imag_frac(m.group("im")))
-    m = _RE_BOTH.match(s)
+    m = _RE_BOTH.fullmatch(s)
     if m:
         return GQ(Fraction(m.group("re")), _imag_frac(m.group("im")))
     raise ValueError("cannot parse Gaussian rational: %r" % text)

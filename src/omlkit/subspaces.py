@@ -162,6 +162,10 @@ def ortho(a: Subspace) -> Subspace:
 
 def join(a: Subspace, b: Subspace) -> Subspace:
     _check_dims(a, b)
+    if a.rows == b.rows:
+        return a
+    if b is a._ortho:
+        return Subspace.full(a.dim)
     if not b.rows or a.rank == a.dim:
         return a
     if not a.rows or b.rank == b.dim:
@@ -276,7 +280,12 @@ def embed_alpha(layout: TensorLayout, factors, b: Subspace) -> Subspace:
 
 def exists_factor(layout: TensorLayout, factors, s: Subspace) -> Subspace:
     """Least subspace of the form (full on factors) x T above s."""
-    return embed_alpha(layout, factors, component_span(layout, factors, s))
+    if s.dim == layout.dim and s.rank in (0, s.dim):
+        return s
+    b = component_span(layout, factors, s)
+    if b.rank == b.dim:
+        return Subspace.full(layout.dim)
+    return embed_alpha(layout, factors, b)
 
 
 def forall_factor(layout: TensorLayout, factors, s: Subspace) -> Subspace:
@@ -451,9 +460,18 @@ def as_cylindric_structure(layout: TensorLayout, generators,
         start, [ortho] + [partial(exists_factor, layout, f) for f in dims],
         [join], limit=max_closure, what="subspaces")
 
-    perm = sorted(range(len(closure)), key=lambda k: (
-        closure[k].rank,
-        tuple((x.re, x.im) for row in closure[k].basis for x in row)))
+    # ordered by rank, then by the entries of the reduced echelon basis;
+    # D times those entries are integers in the same order, D the lcm of
+    # every pivot, so no GQ basis is built only to be compared
+    D = lcm(*(re[c] for s in closure for (re, _), c in zip(s.rows, s.pivots)))
+
+    def key(k):
+        s = closure[k]
+        return s.rank, tuple((m * x, m * y)
+                             for (re, im), c in zip(s.rows, s.pivots)
+                             for m in (D // re[c],) for x, y in zip(re, im))
+
+    perm = sorted(range(len(closure)), key=key)
     new_of_old = {old: new for new, old in enumerate(perm)}
 
     ordered = [closure[k] for k in perm]

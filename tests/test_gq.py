@@ -82,6 +82,13 @@ def test_parse_rejects_garbage():
             parse_gq(bad)
 
 
+@pytest.mark.parametrize("text", ["1\n", "i\n", "1/2+i\n", "-2/5\n"])
+def test_parse_rejects_a_trailing_newline(text):
+    # a pattern ending in $ matches before a final newline
+    with pytest.raises(ValueError):
+        parse_gq(text)
+
+
 def test_format_roundtrip():
     vals = [ZERO, ONE, -ONE, I, -I, GQ(0, -2), GQ(Fraction(1, 2)),
             GQ(Fraction(-3, 7), Fraction(5, 9)), GQ(2, -1)]

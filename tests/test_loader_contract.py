@@ -105,6 +105,9 @@ CASES = {
     "generator-zero-imaginary-denominator": (
         "algebra", fo.load_algebra,
         {"dim": 2, "generators": [[["2+1/0i", "0"], ["0", "1/0i"]]]}),
+    "generator-trailing-newline": ("algebra", fo.load_algebra,
+                                   {"dim": 2, "generators": [[["1\n", "0"],
+                                                              ["0", "0"]]]}),
     "generator-fullwidth-digit": ("algebra", fo.load_algebra,
                                   {"dim": 2, "generators": [[["\uff11", "0"],
                                                              ["0", "0"]]]}),
