@@ -139,7 +139,7 @@ def _run_check(kind, obj, mode, max_size, report, base_dir):
         if diags:
             rep = frames.check_weak_cylindric_frame(F, rels, diags)
         elif rels:
-            rep = frames.check_monadic_frame(F, rels[min(rels)])
+            rep = frames.check_monadic_frame(F, rels[0])
         else:
             rep = base
         report["checks"] = _status_dict(rep.status)

@@ -123,15 +123,7 @@ def classical_cyl_set_algebra(X, I, *, max_elements=lat.DEFAULT_MAX_ELEMENTS
                 q = p[:ci] + (v,) + p[ci + 1:]
                 m |= 1 << pt_index[q]
             orbit.append(m)
-
-        def cmap(mask, orbit=orbit):
-            out = 0
-            for k, om in enumerate(orbit):
-                if mask >> k & 1:
-                    out |= om
-            return out
-
-        cyl[ci] = UnaryMap(B, tuple(cmap(m) for m in range(B.n)))
+        cyl[ci] = UnaryMap(B, tuple(lat.image(orbit, m) for m in range(B.n)))
 
     diag = {}
     for ci, _ in enumerate(I):

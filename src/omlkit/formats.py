@@ -251,8 +251,8 @@ def load_frame(obj, max_elements=lat.DEFAULT_MAX_ELEMENTS):
     """{"points", "perp", "R", "D"} -> (frame, relations, diagonals);
     relations and diagonals are empty dicts when absent.  Points are
     strings or ints, at most max_elements of them.  Relations are keyed
-    0..k-1 with k <= MAX_FRAME_RELATIONS; diagonals, when given, must cover
-    every pair of them."""
+    0..k-1 with k <= MAX_FRAME_RELATIONS; diagonals must cover every pair
+    of them, and may be left out only when k <= 1."""
     points = _need(obj, "points", list)
     n = len(points)
     if n > max_elements:
@@ -280,7 +280,7 @@ def load_frame(obj, max_elements=lat.DEFAULT_MAX_ELEMENTS):
         for p in _list(members, "D[%s]" % key):
             m |= 1 << _index(p, n, "diagonal point")
         diags[_key_pair(key, len(R), "D")] = m
-    if diags:
+    if diags or len(rels) > 1:
         for i in rels:
             for j in rels:
                 if (i, j) not in diags:

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL, bits, close,
+from .lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL, bits, close, image,
                       transitive_closure)
 from .cylindric import CheckReport
 from .quantifiers import UnaryMap
@@ -85,13 +85,6 @@ def closed_set_lattice(F: Orthoframe,
 
 # ---------------------------------------------------------------------------
 # a quantifier from an extra relation
-
-
-def image(R, a: int) -> int:
-    out = 0
-    for i in bits(a):
-        out |= R[i]
-    return out
 
 
 def exists_R(F: Orthoframe, R, a: int) -> int:

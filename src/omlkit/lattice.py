@@ -36,6 +36,14 @@ def bits(mask: int) -> list:
     return out
 
 
+def image(R, a: int) -> int:
+    """The union of the rows R[i] over the set bits i of a."""
+    out = 0
+    for i in bits(a):
+        out |= R[i]
+    return out
+
+
 def transitive_closure(rows) -> list:
     """Close the relation with row masks rows (bit j of rows[i] set iff
     i R j) under transitivity in place, by Warshall's algorithm."""
@@ -333,14 +341,16 @@ def all_subalgebras(L: FiniteOL):
 
 
 def blocks(L: FiniteOL):
-    """Maximal Boolean subalgebras, via maximal cliques of the commutation
-    graph (maximal pairwise-commuting sets are subalgebras in an OML)."""
+    """The blocks (maximal Boolean subalgebras) of an OML: exactly the
+    maximal sets of pairwise-commuting elements, so the maximal cliques of
+    the commutation graph (Kalmbach, Orthomodular Lattices, 1983).  Raises
+    LatticeError unless L is an orthomodular ortholattice."""
+    if not (validate_ortholattice(L).ok and check_orthomodular(L).is_oml):
+        raise LatticeError("blocks need an orthomodular lattice")
     n, J, o = L.n, L.join_t, L.ortho_t
-    # bit y of com[x] is set iff x commutes with y; adj keeps both ways
-    com = [sum(1 << y for y in range(n) if J[mx[y]][mx[o[y]]] == x)
+    # bit y of adj[x] is set iff y != x commutes with x (symmetric in an OML)
+    adj = [sum(1 << y for y in range(n) if J[mx[y]][mx[o[y]]] == x) & ~(1 << x)
            for x, mx in enumerate(L.meet_t)]
-    adj = [sum(1 << y for y in bits(c) if com[y] >> x & 1) & ~(1 << x)
-           for x, c in enumerate(com)]
     cliques = []
 
     def bron_kerbosch(r, p, x):
@@ -354,9 +364,7 @@ def blocks(L: FiniteOL):
             x |= 1 << v
 
     bron_kerbosch(0, (1 << n) - 1, 0)
-    result = [c for c in cliques if is_subalgebra(L, c)
-              and is_distributive_subset(L, c)]
-    return sorted(result, key=sorted)
+    return sorted(cliques, key=sorted)
 
 
 # ---------------------------------------------------------------------------
@@ -423,75 +431,53 @@ def greechie_lattice(atom_blocks, *, max_elements=DEFAULT_MAX_ELEMENTS) -> Finit
         if len(blk) < 2 or len(set(blk)) != len(blk):
             raise LatticeError("block %r must list distinct atoms" % (blk,))
 
-    def key_of(bi, subset):
-        blk = atom_blocks[bi]
-        if len(subset) == 1:
-            return ("atom", next(iter(subset)))
-        if len(subset) == len(blk) - 1:
-            (missing,) = set(blk) - subset
-            return ("co", missing)
-        return ("mid", bi, frozenset(subset))
+    index, labels = {}, []
 
-    keys = [("zero",), ("one",)]
-    seen = {("zero",): 0, ("one",): 1}
+    def intern(key, label):
+        if key not in index:
+            index[key] = len(labels)
+            labels.append(label)
+        return index[key]
 
-    def intern(k):
-        if k not in seen:
-            seen[k] = len(keys)
-            keys.append(k)
-        return seen[k]
-
+    intern("zero", "0")
+    intern("one", "1")
     pairs = []
     ortho = {0: 1, 1: 0}
     for bi, blk in enumerate(atom_blocks):
-        subsets = []
+        ids = {}
         for r in range(1, len(blk)):
-            subsets += [frozenset(c) for c in combinations(blk, r)]
-        ids = {s: intern(key_of(bi, s)) for s in subsets}
-        for s in subsets:
-            pairs.append((0, ids[s]))
-            pairs.append((ids[s], 1))
-            comp = frozenset(blk) - s
-            ortho[ids[s]] = ids[comp] if comp in ids else 1
-        for s in subsets:
-            for t in subsets:
+            for c in combinations(blk, r):
+                s = frozenset(c)
+                if r == 1:
+                    ids[s] = intern(("atom", c[0]), c[0])
+                elif r == len(blk) - 1:
+                    (t,) = set(blk) - s
+                    ids[s] = intern(("co", t), t + "'")
+                else:
+                    ids[s] = intern(("mid", bi, s),
+                                    "|".join(sorted(s)) + "@%d" % bi)
+        for s, i in ids.items():
+            pairs.append((0, i))
+            pairs.append((i, 1))
+            ortho[i] = ids[frozenset(blk) - s]
+        for s in ids:
+            for t in ids:
                 if s < t:
                     pairs.append((ids[s], ids[t]))
 
-    labels = []
-    for k in keys:
-        if k == ("zero",):
-            labels.append("0")
-        elif k == ("one",):
-            labels.append("1")
-        elif k[0] == "atom":
-            labels.append(k[1])
-        elif k[0] == "co":
-            labels.append(k[1] + "'")
-        else:
-            labels.append("|".join(sorted(k[2])) + "@%d" % k[1])
-    L = ol_from_leq(labels, pairs, [ortho[i] for i in range(len(keys))],
-                    max_elements=max_elements)
-    return L
+    return ol_from_leq(labels, pairs, [ortho[i] for i in range(len(labels))],
+                       max_elements=max_elements)
 
 
 def enumerate_greechie_diagrams(max_blocks: int):
     """Deterministic stream of 3-atom-block diagrams, by block count then
     lexicographic extension order.  Atoms are integers assigned in order of
-    first use; a new block shares at most one existing atom."""
-    def extensions(blocks, natoms):
-        opts = [(shared, natoms, natoms + 1) for shared in range(natoms)]
-        opts.append((natoms, natoms + 1, natoms + 2))
-        return opts
-
-    def gen(k):
-        if k == 1:
-            yield [(0, 1, 2)]
-            return
-        for shorter in gen(k - 1):
-            natoms = 1 + max(a for blk in shorter for a in blk)
-            for blk in extensions(shorter, natoms):
-                yield shorter + [blk]
-
+    first use, so the last block holds the largest; a new block shares at
+    most one existing atom.  Each level is extended from the one before."""
+    level = [[(0, 1, 2)]]
     for k in range(1, max_blocks + 1):
-        yield from gen(k)
+        yield from level
+        if k < max_blocks:
+            level = [d + [(a, n, n + 1) if a < n else (n, n + 1, n + 2)]
+                     for d in level for n in (d[-1][-1] + 1,)
+                     for a in range(n + 1)]

@@ -152,17 +152,14 @@ def find_q6_counterexample(max_blocks: int = 4, boolean_only: bool = False):
         named = [tuple("a%s" % a for a in blk) for blk in diagram]
         try:
             L = lat.greechie_lattice(named)
+            blocks = lat.blocks(L)
         except lat.LatticeError:
-            continue
-        if not lat.validate_ortholattice(L).ok:
-            continue
-        if not lat.check_orthomodular(L).is_oml:
             continue
         if boolean_only and not all(
                 lat.commutes(L, x, y)
                 for x in L.elements() for y in L.elements()):
             continue
-        for S in lat.blocks(L):
+        for S in blocks:
             e = quantifier_from_subalgebra(L, S)
             for p in L.elements():
                 for q in L.elements():

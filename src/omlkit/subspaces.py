@@ -228,9 +228,13 @@ def _slices(layout: TensorLayout, factors) -> tuple:
     """The flat coordinates of the slices along `factors`: one tuple for
     each standard basis tuple ft of those factors, in product order, giving
     the coordinate of (ft, rt) for each tuple rt of the other factors, in
-    product order and so increasing.  Kept per layout and factor set."""
+    product order and so increasing.  Kept per layout and factor set.
+    Raises ValueError unless every factor is an int in range(layout.n)."""
     if isinstance(factors, int):
         factors = (factors,)
+    if not all(type(f) is int and 0 <= f < layout.n for f in factors):
+        raise ValueError("factors must be ints in range(%d), got %r"
+                         % (layout.n, factors))
     return _slice_table(layout, frozenset(factors))
 
 
@@ -280,6 +284,7 @@ def embed_alpha(layout: TensorLayout, factors, b: Subspace) -> Subspace:
 
 def exists_factor(layout: TensorLayout, factors, s: Subspace) -> Subspace:
     """Least subspace of the form (full on factors) x T above s."""
+    _slices(layout, factors)  # checks factors before the shortcut
     if s.dim == layout.dim and s.rank in (0, s.dim):
         return s
     b = component_span(layout, factors, s)
@@ -317,31 +322,17 @@ def diagonal(layout: TensorLayout, factors) -> Subspace:
         raise ValueError("diagonal factors must have equal dimensions")
     if len(fs) <= 1:
         return Subspace.full(layout.dim)
-    rows = []
-    seen = set()
+    # an orbit under permuting the positions in fs is the set of tuples
+    # with the same sorted values there and the same values elsewhere; the
+    # tuples come in row-major order, so tuple k has coordinate k
+    rest = [k for k in range(layout.n) if k not in fs]
+    orbits = {}
+    for k, idx in enumerate(layout.tuples()):
+        key = (tuple(sorted(idx[f] for f in fs)), tuple(idx[f] for f in rest))
+        orbits.setdefault(key, [0] * layout.dim)[k] = 1
     zeros = (0,) * layout.dim
-    for idx in layout.tuples():
-        key = tuple(sorted(idx[k] for k in fs)) + \
-            tuple(idx[k] for k in range(layout.n) if k not in fs)
-        if key in seen:
-            continue
-        seen.add(key)
-        v = [0] * layout.dim
-        for t in _orbit(idx, fs):
-            v[layout.index(t)] = 1
-        rows.append((v, zeros))
-    return _from_echelon(layout.dim, la.echelon(rows))
-
-
-def _orbit(idx, fs):
-    vals = [idx[k] for k in fs]
-    out = set()
-    for pv in permutations(vals):
-        t = list(idx)
-        for k, v in zip(fs, pv):
-            t[k] = v
-        out.add(tuple(t))
-    return out
+    return _from_echelon(layout.dim,
+                         la.echelon([(v, zeros) for v in orbits.values()]))
 
 
 def check_diagonal_composition(layout: TensorLayout, i: int, j: int, k: int) -> bool:

@@ -8,12 +8,17 @@ tables, name the same first witness and raise the same LatticeError
 message.
 
 down, up and atoms are the old FiniteOL methods, written as functions of
-the lattice.
+the lattice.  greechie_lattice and enumerate_greechie_diagrams are the
+builders as they were before each was made one pass: the first derived
+every label from a key tuple in a second pass, the second regenerated
+every shorter level recursively.  Here greechie_lattice builds through
+this module's ol_from_leq.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from omlkit.frames import (Orthoframe, biortho, exists_R, image,
                            orthocomplement)
@@ -352,3 +357,90 @@ def cover_pairs(L: FiniteOL):
                 continue
             out.append([x, y])
     return out
+
+
+def greechie_lattice(atom_blocks, *, max_elements=DEFAULT_MAX_ELEMENTS) -> FiniteOL:
+    """Paste Boolean blocks given as lists of atom tokens.
+
+    Blocks are glued at 0 and 1; atoms with equal tokens are identified and
+    the orthocomplement of an atom within a block is the join of the block's
+    remaining atoms.  Raises LatticeError when the pasted order is not a
+    lattice.
+    """
+    atom_blocks = [tuple(str(t) for t in blk) for blk in atom_blocks]
+    for blk in atom_blocks:
+        if len(blk) < 2 or len(set(blk)) != len(blk):
+            raise LatticeError("block %r must list distinct atoms" % (blk,))
+
+    def key_of(bi, subset):
+        blk = atom_blocks[bi]
+        if len(subset) == 1:
+            return ("atom", next(iter(subset)))
+        if len(subset) == len(blk) - 1:
+            (missing,) = set(blk) - subset
+            return ("co", missing)
+        return ("mid", bi, frozenset(subset))
+
+    keys = [("zero",), ("one",)]
+    seen = {("zero",): 0, ("one",): 1}
+
+    def intern(k):
+        if k not in seen:
+            seen[k] = len(keys)
+            keys.append(k)
+        return seen[k]
+
+    pairs = []
+    ortho = {0: 1, 1: 0}
+    for bi, blk in enumerate(atom_blocks):
+        subsets = []
+        for r in range(1, len(blk)):
+            subsets += [frozenset(c) for c in combinations(blk, r)]
+        ids = {s: intern(key_of(bi, s)) for s in subsets}
+        for s in subsets:
+            pairs.append((0, ids[s]))
+            pairs.append((ids[s], 1))
+            comp = frozenset(blk) - s
+            ortho[ids[s]] = ids[comp] if comp in ids else 1
+        for s in subsets:
+            for t in subsets:
+                if s < t:
+                    pairs.append((ids[s], ids[t]))
+
+    labels = []
+    for k in keys:
+        if k == ("zero",):
+            labels.append("0")
+        elif k == ("one",):
+            labels.append("1")
+        elif k[0] == "atom":
+            labels.append(k[1])
+        elif k[0] == "co":
+            labels.append(k[1] + "'")
+        else:
+            labels.append("|".join(sorted(k[2])) + "@%d" % k[1])
+    L = ol_from_leq(labels, pairs, [ortho[i] for i in range(len(keys))],
+                    max_elements=max_elements)
+    return L
+
+
+def enumerate_greechie_diagrams(max_blocks: int):
+    """Deterministic stream of 3-atom-block diagrams, by block count then
+    lexicographic extension order.  Atoms are integers assigned in order of
+    first use; a new block shares at most one existing atom."""
+    def extensions(blocks, natoms):
+        opts = [(shared, natoms, natoms + 1) for shared in range(natoms)]
+        opts.append((natoms, natoms + 1, natoms + 2))
+        return opts
+
+    def gen(k):
+        if k == 1:
+            yield [(0, 1, 2)]
+            return
+        for shorter in gen(k - 1):
+            natoms = 1 + max(a for blk in shorter for a in blk)
+            for blk in extensions(shorter, natoms):
+                yield shorter + [blk]
+
+    for k in range(1, max_blocks + 1):
+        yield from gen(k)

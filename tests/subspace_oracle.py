@@ -10,20 +10,23 @@ must give the same subspaces, rref bases and equalities.
 
 forall_factor_direct and diagonal_rank are independent computations on
 omlkit Subspaces: the universal factor quantifier by its membership
-characterization, and the rank of a diagonal in closed form.
+characterization, and the rank of a diagonal in closed form.  diagonal
+and _orbit are the diagonal as first written, which enumerates the
+permutations of each tuple's values to find its orbit.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from itertools import product
+from itertools import permutations, product
 from math import comb, prod
 
 import omlkit.linalg as la
 import omlkit.subspaces as sp
 from omlkit.gq import ONE, ZERO
 from omlkit.linalg import _den_row
+from omlkit.subspaces import Subspace, TensorLayout, _from_echelon
 from rref_oracle import rref
 
 
@@ -136,3 +139,39 @@ def diagonal_rank(layout, factors) -> int:
     d = layout.factor_dims[fs[0]]
     rest = prod(layout.factor_dims[k] for k in range(layout.n) if k not in fs)
     return comb(d + len(fs) - 1, len(fs)) * rest
+
+
+def diagonal(layout: TensorLayout, factors) -> Subspace:
+    """Subspace of tensors whose coordinates are invariant under permuting
+    the positions in `factors` (all of equal dimension)."""
+    fs = sorted(set(factors))
+    dims = {layout.factor_dims[k] for k in fs}
+    if len(dims) != 1:
+        raise ValueError("diagonal factors must have equal dimensions")
+    if len(fs) <= 1:
+        return Subspace.full(layout.dim)
+    rows = []
+    seen = set()
+    zeros = (0,) * layout.dim
+    for idx in layout.tuples():
+        key = tuple(sorted(idx[k] for k in fs)) + \
+            tuple(idx[k] for k in range(layout.n) if k not in fs)
+        if key in seen:
+            continue
+        seen.add(key)
+        v = [0] * layout.dim
+        for t in _orbit(idx, fs):
+            v[layout.index(t)] = 1
+        rows.append((v, zeros))
+    return _from_echelon(layout.dim, la.echelon(rows))
+
+
+def _orbit(idx, fs):
+    vals = [idx[k] for k in fs]
+    out = set()
+    for pv in permutations(vals):
+        t = list(idx)
+        for k, v in zip(fs, pv):
+            t[k] = v
+        out.add(tuple(t))
+    return out

@@ -86,8 +86,11 @@ def _frame_point(bad):
 
 
 def _frame_relations(k):
+    # k identity relations, with the diagonals that two or more need
     identity = [[p, p] for p in range(3)]
-    return _frame(R={str(i): identity for i in range(k)})
+    return _frame(R={str(i): identity for i in range(k)},
+                  D={"%d,%d" % (i, j): [0, 1, 2]
+                     for i in range(k) for j in range(k)})
 
 
 CASES = {
@@ -185,6 +188,9 @@ CASES = {
     "frame-d-key-float": ("frame", fo.load_frame, _frame_d(key="0.5,0")),
     "frame-d-key-single": ("frame", fo.load_frame, _frame_d(key="0")),
     "frame-d-key-range": ("frame", fo.load_frame, _frame_d(key="0,1")),
+    "frame-two-relations-without-diagonals": (
+        "frame", fo.load_frame, _frame(R={"0": _frame_r()["R"]["0"],
+                                          "1": [[0, 1]]})),
     "frame-d-missing-diagonal": ("frame", fo.load_frame,
                                  _frame(R={"0": [[0, 0], [1, 1], [2, 2]],
                                            "1": [[0, 0], [1, 1], [2, 2]]},
@@ -281,3 +287,14 @@ def test_frame_relation_bound():
     message = "frame has %d relations, guard is %d" % (k + 1, k)
     with pytest.raises(fo.FormatError, match=message):
         fo.load_frame(_frame_relations(k + 1))
+
+
+def test_frame_relations_past_the_first_need_diagonals():
+    # the second relation, which is not even reflexive, was never checked:
+    # without D, `check frame` tested R["0"] alone and passed
+    obj = _frame(R={"0": _frame_r()["R"]["0"], "1": [[0, 1]]})
+    with pytest.raises(fo.FormatError, match="missing diagonal 0,0"):
+        fo.load_frame(obj)
+    obj["D"] = {"%d,%d" % (i, j): [0, 1, 2] for i in (0, 1) for j in (0, 1)}
+    F, rels, diags = fo.load_frame(obj)
+    assert set(rels) == {0, 1} and len(diags) == 4

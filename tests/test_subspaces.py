@@ -237,3 +237,30 @@ def test_leq_rejects_another_ambient_dimension():
         a.leq(b)
     with pytest.raises(ValueError):
         b.leq(a)
+
+
+_BAD_FACTORS = [5, -1, 2, True, (0, 5), (0, -1), (1.0,), ("0",), (False, 1)]
+
+
+@pytest.mark.parametrize("factors", _BAD_FACTORS, ids=repr)
+def test_quantifiers_reject_factors_outside_the_layout(factors):
+    lay = TensorLayout((2, 2))
+    line = Subspace.from_vectors(4, [[1, 0, 0, 1]])
+    # the bounds and the line, so the 0/1 shortcut of exists_factor is
+    # reached only after the check
+    for s in (Subspace.zero(4), Subspace.full(4), line):
+        for quantifier in (sp.exists_factor, sp.forall_factor,
+                           sp.component_span):
+            with pytest.raises(ValueError, match="factors must be ints"):
+                quantifier(lay, factors, s)
+    with pytest.raises(ValueError, match="factors must be ints"):
+        sp.embed_alpha(lay, factors, Subspace.full(2))
+
+
+def test_quantifiers_accept_every_factor_form_in_range():
+    lay = TensorLayout((2, 2))
+    line = Subspace.from_vectors(4, [[1, 0, 0, 1]])
+    for factors in (0, 1, (0,), [1], (0, 1), frozenset({1}), ()):
+        ex = sp.exists_factor(lay, factors, line)
+        assert line.leq(ex)
+        assert sp.forall_factor(lay, factors, ex) == ex
