@@ -423,7 +423,9 @@ def greechie_lattice(atom_blocks, *, max_elements=DEFAULT_MAX_ELEMENTS) -> Finit
 
     Blocks are glued at 0 and 1; atoms with equal tokens are identified and
     the orthocomplement of an atom within a block is the join of the block's
-    remaining atoms.  Raises LatticeError when the pasted order is not a
+    remaining atoms.  Raises LatticeError when two blocks give an atom
+    different complements (a 2-atom block complements it by an atom, a
+    larger one by the join of the rest) or the pasted order is not a
     lattice.
     """
     atom_blocks = [tuple(str(t) for t in blk) for blk in atom_blocks]
@@ -459,7 +461,10 @@ def greechie_lattice(atom_blocks, *, max_elements=DEFAULT_MAX_ELEMENTS) -> Finit
         for s, i in ids.items():
             pairs.append((0, i))
             pairs.append((i, 1))
-            ortho[i] = ids[frozenset(blk) - s]
+            co = ids[frozenset(blk) - s]
+            if ortho.setdefault(i, co) != co:
+                raise LatticeError("atom %r has two complements, %r and %r"
+                                   % (labels[i], labels[ortho[i]], labels[co]))
         for s in ids:
             for t in ids:
                 if s < t:

@@ -122,6 +122,14 @@ def int_dot(a, b) -> tuple[int, int]:
             sum(map(mul, x, v)) + sum(map(mul, y, u)))
 
 
+def int_orthogonal(a, b) -> bool:
+    """Whether the Hermitian product sum a_k * conj(b_k) of Gaussian-integer
+    rows (re, im) is 0: its real part, then its imaginary part."""
+    (x, y), (u, v) = a, b
+    return not (sum(map(mul, x, u)) + sum(map(mul, y, v)) or
+                sum(map(mul, y, u)) - sum(map(mul, x, v)))
+
+
 def int_matvec(rows, v) -> tuple[list, list]:
     """The Gaussian-integer vector of int_dot(r, v) over the rows r."""
     dots = [int_dot(r, v) for r in rows]

@@ -81,7 +81,7 @@ class Subspace:
 
     def leq(self, other: "Subspace") -> bool:
         _check_dims(self, other)
-        return all(other._spans(row) for row in self.rows)
+        return _below(self, other)
 
     def _spans(self, w) -> bool:
         """Whether the Gaussian-integer row w = (re, im) lies in this
@@ -144,6 +144,19 @@ def _check_dims(a: Subspace, b: Subspace):
                          % (a.dim, b.dim))
 
 
+def _below(a: Subspace, b: Subspace) -> bool:
+    """Whether a <= b.  The leading column of a vector of a is one of b's,
+    so the pivots of a must be pivots of b.  Then, with ortho(b) linked,
+    a <= b iff every row of a is orthogonal to every row of ortho(b); else
+    each row of a is reduced against b by _spans."""
+    if not set(a.pivots).issubset(b.pivots):
+        return False
+    c = b._ortho
+    if c is None:
+        return all(b._spans(row) for row in a.rows)
+    return all(la.int_orthogonal(u, x) for x in c.rows for u in a.rows)
+
+
 def ortho(a: Subspace) -> Subspace:
     """Orthogonal complement under the Hermitian inner product.
 
@@ -170,6 +183,14 @@ def join(a: Subspace, b: Subspace) -> Subspace:
         return a
     if not a.rows or b.rank == b.dim:
         return b
+    # decided by the order where it can be: lo <= hi gives hi, and a
+    # hyperplane hi not above lo gives the full space.  Equal ranks with
+    # different rows are never comparable
+    lo, hi = (a, b) if a.rank <= b.rank else (b, a)
+    if lo.rank < hi.rank and _below(lo, hi):
+        return hi
+    if hi.rank == a.dim - 1:
+        return Subspace.full(a.dim)
     return _from_echelon(a.dim, la.echelon(a.rows + b.rows))
 
 
@@ -283,10 +304,17 @@ def embed_alpha(layout: TensorLayout, factors, b: Subspace) -> Subspace:
 
 
 def exists_factor(layout: TensorLayout, factors, s: Subspace) -> Subspace:
-    """Least subspace of the form (full on factors) x T above s."""
-    _slices(layout, factors)  # checks factors before the shortcut
-    if s.dim == layout.dim and s.rank in (0, s.dim):
-        return s
+    """Least subspace of the form (full on factors) x T above s.
+
+    (full on factors) x T has rank d * rank T, d the dimension on
+    `factors`, so rank T >= ceil(rank s / d): when d times that bound is the
+    whole dimension, the answer is the full space without elimination."""
+    d = len(_slices(layout, factors))  # checks factors before the shortcuts
+    if s.dim == layout.dim:
+        if s.rank in (0, s.dim):
+            return s
+        if -(-s.rank // d) * d == s.dim:
+            return Subspace.full(s.dim)
     b = component_span(layout, factors, s)
     if b.rank == b.dim:
         return Subspace.full(layout.dim)
@@ -316,7 +344,8 @@ def check_commutation(layout: TensorLayout, i: int, j: int, s: Subspace) -> bool
 def diagonal(layout: TensorLayout, factors) -> Subspace:
     """Subspace of tensors whose coordinates are invariant under permuting
     the positions in `factors` (all of equal dimension)."""
-    fs = sorted(set(factors))
+    _slices(layout, factors)  # checks factors
+    fs = sorted({factors} if isinstance(factors, int) else set(factors))
     dims = {layout.factor_dims[k] for k in fs}
     if len(dims) != 1:
         raise ValueError("diagonal factors must have equal dimensions")

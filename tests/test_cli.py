@@ -149,6 +149,16 @@ def test_convert_malformed_exit_2(tmp_path):
     assert run("convert", str(p)).exit_code == 2
 
 
+def test_convert_clashing_complements_exit_2(tmp_path):
+    # d is complemented by a v b v c in the first block and by e in the
+    # second, so no ortho is an involution on the pasting
+    p = tmp_path / "mixed.greechie"
+    p.write_text("a b c d\nd e\n")
+    res = run("convert", str(p))
+    assert res.exit_code == 2
+    assert "atom 'd' has two complements" in res.output
+
+
 def strip_timing(text):
     rep = json.loads(text)
     rep.pop("timing", None)

@@ -2,11 +2,13 @@
 elimination.
 
 join answers a == b and b == ortho(a) from the lattice laws, and
-exists_factor answers zero, full and a full component span without
-embedding.  On random subspaces of small tensor layouts, with those cases
-forced, each must equal the plain elimination it skips: one echelon of
-both row lists for join, and embed_alpha of the component span for the
-quantifier.
+comparable operands and a hyperplane operand from the order; exists_factor
+answers zero, full, a rank above its bound and a full component span
+without embedding.  On random subspaces of small tensor layouts, with
+those cases forced, each must equal the plain elimination it skips: one
+echelon of both row lists for join, and embed_alpha of the component span
+for the quantifier.  Operands come with and without a linked ortho, so the
+order is decided both by orthogonality to it and by reduction.
 """
 
 from fractions import Fraction
@@ -23,6 +25,7 @@ LAYOUTS = ((2, 2), (2, 3), (3, 3), (2, 2, 2))
 
 _part = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 scalars = st.one_of(st.just(ZERO), st.builds(GQ, _part, _part))
+reals = st.one_of(st.just(ZERO), st.builds(GQ, _part))
 
 
 def _same(s: Subspace, t: Subspace):
@@ -122,3 +125,148 @@ def test_exists_factor_equals_embedded_component_span(case, kind, data):
 def test_exists_factor_refuses_another_ambient_dimension(s):
     with pytest.raises(ValueError):
         sp.exists_factor(TensorLayout((2, 2)), 0, s)
+
+
+def _of_rank(data, dim, r, entries=scalars):
+    """A drawn subspace of rank exactly r: row j is 1 at the j-th of r drawn
+    columns, 0 at the other r - 1, and drawn elsewhere."""
+    cols = data.draw(st.permutations(range(dim)))[:r]
+    rows = []
+    for c in cols:
+        v = list(data.draw(st.tuples(*[entries] * dim)))
+        for k in cols:
+            v[k] = ONE if k == c else ZERO
+        rows.append(tuple(v))
+    return Subspace.from_vectors(dim, rows)
+
+
+def _combination(data, s, entries=scalars):
+    """A drawn combination of the basis of s (zero when s is)."""
+    cs = data.draw(st.lists(entries, min_size=s.rank, max_size=s.rank))
+    return tuple(sum((c * v[i] for c, v in zip(cs, s.basis)), ZERO)
+                 for i in range(s.dim))
+
+
+def _linked(s, linked):
+    """s with its ortho linked, or an equal copy without the link."""
+    if linked:
+        sp.ortho(s)
+        return s
+    return Subspace.from_vectors(s.dim, s.basis)
+
+
+def _leq_oracle(a, b):
+    return len(la.echelon(a.rows + b.rows)[0]) == b.rank
+
+
+JOIN_CASES = ["below", "not-below", "hyperplane-holds", "hyperplane-misses"]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(LAYOUTS), st.sampled_from(JOIN_CASES),
+       st.booleans(), st.booleans(), st.sampled_from([scalars, reals]),
+       st.data())
+def test_join_by_order_equals_one_echelon(dims, kind, lo_linked, hi_linked,
+                                          entries, data):
+    layout = TensorLayout(dims)
+    dim = layout.dim
+    if kind.startswith("hyperplane"):
+        line = _of_rank(data, dim, 1, entries)
+        hi = sp.ortho(line)
+        assert hi.rank == dim - 1
+        outside = line.basis[0]
+    else:
+        hi = _of_rank(data, dim, data.draw(st.integers(2, dim - 1)), entries)
+        # in ortho(hi) and orthogonal to each of its canonical rows but a
+        # drawn one, so an inclusion test must try every row of ortho(hi);
+        # found by elimination and ortho alone, not by join
+        c = sp.ortho(hi)
+        j = data.draw(st.integers(0, c.rank - 1))
+        others = [la.gq_vector(r, 1) for k, r in enumerate(c.rows) if k != j]
+        outside = sp.ortho(
+            Subspace.from_vectors(dim, hi.basis + tuple(others))).basis[0]
+    # at most as many rows as hi has, all in hi, but for the misses the
+    # first, whose part in ortho(hi) is not zero; with as many rows, lo may
+    # be hi itself, or another hyperplane
+    k = data.draw(st.integers(1, hi.rank))
+    vectors = [_combination(data, hi, entries) for _ in range(k)]
+    if kind in ("not-below", "hyperplane-misses"):
+        # outside or i * outside: with real rows, i * outside has products
+        # with ortho(hi) whose real parts are all 0.  Plus the first row of
+        # hi, so that the leading column is most often one of hi's pivots
+        unit = data.draw(st.sampled_from([ONE, GQ(0, 1)]))
+        vectors[0] = tuple(unit * x + y + z for x, y, z
+                           in zip(outside, hi.basis[0], vectors[0]))
+    lo = _linked(Subspace.from_vectors(dim, vectors), lo_linked)
+    hi = _linked(hi, hi_linked)
+    assert lo.rank <= hi.rank
+    below = kind in ("below", "hyperplane-holds")
+    assert _leq_oracle(lo, hi) == below
+    assert lo.leq(hi) == below
+    assert hi.leq(lo) == _leq_oracle(hi, lo)
+    for x, y in ((lo, hi), (hi, lo)):
+        _same(sp.join(x, y), sp._from_echelon(dim, la.echelon(x.rows + y.rows)))
+    if kind != "not-below":
+        # decided by the order alone, linked or not
+        la.reset_counts()
+        sp.join(lo, hi)
+        sp.join(hi, lo)
+        assert la.counts["echelon_calls"] == 0
+
+
+I = GQ(0, 1)
+
+
+@pytest.mark.parametrize("hi_rows, lo_row, below", [
+    # ortho(hi) is spanned by (1, 0, -1, 0) and (0, 1, 0, -1); lo is
+    # orthogonal to the first and not to the second, whose product with lo
+    # is 2, or 2i with real part 0
+    ([(1, 0, 1, 0), (0, 1, 0, 1)], (1, 1, 1, -1), False),
+    ([(1, 0, 1, 0), (0, 1, 0, 1)], (1, I, 1, -I), False),
+    # ortho(hi) is spanned by (1, 0, -i, 0) and (0, 1, 0, -i): (1, 0, i, 0)
+    # is in hi, though its plain product with each of them is 2
+    ([(1, 0, I, 0), (0, 1, 0, I)], (1, 0, I, 0), True),
+    ([(1, 0, I, 0), (0, 1, 0, I)], (1, 1, I, -I), False),
+], ids=["real", "imaginary", "conjugate", "complex"])
+def test_inclusion_tries_every_row_of_the_complement(hi_rows, lo_row, below):
+    hi = Subspace.from_vectors(4, hi_rows)
+    sp.ortho(hi)
+    lo = Subspace.from_vectors(4, [lo_row])
+    # the leading column of lo is a pivot of hi, so the pivots decide nothing
+    assert set(lo.pivots) <= set(hi.pivots)
+    assert lo.leq(hi) == below == _leq_oracle(lo, hi)
+    _same(sp.join(lo, hi), sp._from_echelon(4, la.echelon(lo.rows + hi.rows)))
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(LAYOUTS), st.sampled_from(["at-bound", "below-bound"]),
+       st.data())
+def test_exists_factor_by_rank_equals_embedded_component_span(dims, kind,
+                                                              data):
+    layout = TensorLayout(dims)
+    every = [*range(layout.n), tuple(range(layout.n))]
+    if layout.n == 3:
+        every += [(0, 1), (0, 2), (1, 2)]
+    factors = data.draw(st.sampled_from(every))
+    d = len(sp._slices(layout, factors))
+    rest = layout.dim // d
+    if kind == "at-bound":
+        # the least rank r with ceil(r / d) * d == dim
+        s = _of_rank(data, layout.dim, layout.dim - d + 1)
+    else:
+        # (full on factors) x T for a hyperplane T of the rest: rank
+        # dim - d, one below the bound, and its own quantifier
+        t = sp.ortho(_of_rank(data, rest, 1)) if rest > 1 else \
+            Subspace.zero(1)
+        s = sp.embed_alpha(layout, factors, t)
+        assert s.rank == layout.dim - d
+    expected = sp.embed_alpha(layout, factors,
+                              sp.component_span(layout, factors, s))
+    la.reset_counts()
+    got = sp.exists_factor(layout, factors, s)
+    _same(got, expected)
+    if kind == "at-bound":
+        assert got.rank == layout.dim
+        assert la.counts["echelon_calls"] == 0
+    else:
+        _same(got, s)

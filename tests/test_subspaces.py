@@ -264,3 +264,23 @@ def test_quantifiers_accept_every_factor_form_in_range():
         ex = sp.exists_factor(lay, factors, line)
         assert line.leq(ex)
         assert sp.forall_factor(lay, factors, ex) == ex
+
+
+@pytest.mark.parametrize("factors", [(0, -1), (0, 5), (True, 0), (0, 1.0),
+                                     ("0", 1), 2, -1],
+                         ids=repr)
+def test_diagonal_rejects_factors_outside_the_layout(factors):
+    # (0, -1) once read -1 as the last factor and also as another one, so
+    # it gave the full space where (0, 1) gives rank 3; (True, 0) was (1, 0)
+    with pytest.raises(ValueError, match="factors must be ints"):
+        sp.diagonal(TensorLayout((2, 2)), factors)
+
+
+def test_diagonal_accepts_every_factor_form_in_range():
+    lay = TensorLayout((2, 2))
+    d = sp.diagonal(lay, (0, 1))
+    assert d.rank == 3
+    for factors in ((1, 0), [0, 1], frozenset({0, 1}), (0, 1, 1)):
+        assert sp.diagonal(lay, factors) == d
+    for factors in (0, 1, (1,), [0], (1, 1)):
+        assert sp.diagonal(lay, factors) == Subspace.full(lay.dim)
