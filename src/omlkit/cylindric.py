@@ -12,7 +12,8 @@ from itertools import product
 
 from . import lattice as lat
 from .lattice import FiniteOL, SizeGuardError
-from .quantifiers import UnaryMap, check_quantifier
+from .quantifiers import (AXIOMS, CheckReport, UnaryMap, check_quantifier,
+                          first_failure_report)
 
 
 @dataclass(eq=False)
@@ -29,76 +30,39 @@ class CylindricStructure:
         return self.diagonals[(i, j)]
 
 
-@dataclass
-class CheckReport:
-    status: dict  # axiom or condition name -> (ok, witness or None)
-
-    @property
-    def ok(self) -> bool:
-        return all(v[0] for v in self.status.values())
-
-    def failed(self):
-        return sorted(k for k, v in self.status.items() if not v[0])
-
-
 def check_cylindric(C: CylindricStructure, mode: str = "weak") -> CheckReport:
-    """C1-C4 (weak) plus C5 (full), exhaustive over indices and elements."""
+    """C1-C4 (weak) plus C5 (full), exhaustive over indices and elements.
+    Each condition reports its first failing witness in index order, then
+    element order, as rows of the meet table and cylindrification maps."""
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
-    L = C.base
-    st = {}
-
-    def record(name, ok, witness=None):
-        if name not in st or st[name][0]:
-            st[name] = (ok, witness)
-
-    for i in C.dims:
-        rep = check_quantifier(L, C.cylindrifications[i])
-        if not rep.is_quantifier:
-            bad = next(a for a in ("Q1", "Q2", "Q3", "Q4", "Q5")
-                       if not rep.ok(a))
-            record("C1", False, (i, bad, rep.witness(bad)))
-    st.setdefault("C1", (True, None))
-
-    for i in C.dims:
-        for j in C.dims:
-            if i >= j:
-                continue
-            for x in L.elements():
-                if C.c(i, C.c(j, x)) != C.c(j, C.c(i, x)):
-                    record("C2", False, (i, j, x))
-                    break
-    st.setdefault("C2", (True, None))
-
-    for i in C.dims:
-        if C.d(i, i) != L.one:
-            record("C3", False, (i, i))
-        for j in C.dims:
-            if C.d(i, j) != C.d(j, i):
-                record("C3", False, (i, j))
-    st.setdefault("C3", (True, None))
-
-    for i, j, k in product(C.dims, repeat=3):
-        if j == i or j == k:
-            continue
-        if C.d(i, k) != C.c(j, L.meet(C.d(i, j), C.d(j, k))):
-            record("C4", False, (i, j, k))
-    st.setdefault("C4", (True, None))
-
+    L, dims, d = C.base, C.dims, C.diagonals
+    M, o, z = L.meet_t, L.ortho_t, L.zero
+    c = {i: C.cylindrifications[i].map for i in dims}
+    reps = [(i, check_quantifier(L, C.cylindrifications[i])) for i in dims]
+    found = {
+        "C1": next(((i, a, rep.witness(a)) for i, rep in reps
+                    for a in AXIOMS[:5] if not rep.ok(a)), None),
+        # c_i c_j x == c_j c_i x
+        "C2": next(((i, j, x) for i in dims for j in dims if i < j
+                    for x, (cjx, cix) in enumerate(zip(c[j], c[i]))
+                    if c[i][cjx] != c[j][cix]), None),
+        # d_ii == 1 and d_ij == d_ji; an asymmetric (i, j) with j < i was
+        # met first as (j, i), so row-major order is the loop order
+        "C3": next(((i, j) for i in dims for j in dims
+                    if d[(i, j)] != (L.one if i == j else d[(j, i)])), None),
+        # d_ik == c_j(d_ij ^ d_jk) for j distinct from i and k
+        "C4": next(((i, j, k) for i, j, k in product(dims, repeat=3)
+                    if j != i and j != k
+                    and d[(i, k)] != c[j][M[d[(i, j)]][d[(j, k)]]]), None),
+    }
     if mode == "full":
-        for i in C.dims:
-            for j in C.dims:
-                if i == j:
-                    continue
-                d = C.d(i, j)
-                for x in L.elements():
-                    lhs = L.meet(C.c(i, L.meet(d, x)),
-                                 C.c(i, L.meet(d, L.ortho(x))))
-                    if lhs != L.zero:
-                        record("C5", False, (i, j, x))
-                        break
-        st.setdefault("C5", (True, None))
-    return CheckReport(st)
+        # c_i(d_ij ^ x) ^ c_i(d_ij ^ x') == 0 for i != j; u[x] = c_i(d_ij ^ x)
+        found["C5"] = next(
+            ((i, j, x) for i in dims for j in dims if i != j
+             for u in ([c[i][m] for m in M[d[(i, j)]]],)
+             for x, ox in enumerate(o) if M[u[x]][u[ox]] != z), None)
+    return first_failure_report(CheckReport, found)
 
 
 def classical_cyl_set_algebra(X, I, *, max_elements=lat.DEFAULT_MAX_ELEMENTS
@@ -147,15 +111,11 @@ def is_boolean_endomorphism(C: CylindricStructure, i: int, j: int) -> bool:
     """Whether x -> S_j^i x preserves meet, join and complement on the
     (Boolean) base; exhaustive over pairs."""
     L = C.base
+    M, J, o = L.meet_t, L.join_t, L.ortho_t
     s = [substitution_classical(C, i, j, x) for x in L.elements()]
-    if s[L.zero] != L.zero or s[L.one] != L.one:
-        return False
-    for x in L.elements():
-        if s[L.ortho(x)] != L.ortho(s[x]):
-            return False
-        for y in L.elements():
-            if s[L.meet(x, y)] != L.meet(s[x], s[y]):
-                return False
-            if s[L.join(x, y)] != L.join(s[x], s[y]):
-                return False
-    return True
+    # row x: s(x ^ y) == s x ^ s y and s(x v y) == s x v s y over all y
+    return s[L.zero] == L.zero and s[L.one] == L.one and all(
+        s[o[x]] == o[sx]
+        and [s[m] for m in M[x]] == [M[sx][sy] for sy in s]
+        and [s[j] for j in J[x]] == [J[sx][sy] for sy in s]
+        for x, sx in enumerate(s))

@@ -12,8 +12,7 @@ from itertools import product
 
 from .lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL, bits, close, image,
                       transitive_closure)
-from .cylindric import CheckReport
-from .quantifiers import UnaryMap
+from .quantifiers import CheckReport, UnaryMap, first_failure_report
 
 
 @dataclass(frozen=True)
@@ -31,17 +30,15 @@ class Orthoframe:
 
 
 def validate_orthoframe(F: Orthoframe) -> CheckReport:
-    st = {"irreflexive": (True, None), "symmetric": (True, None)}
-    for i in range(F.n):
-        if F.perp[i] >> i & 1:
-            st["irreflexive"] = (False, i)
-            break
-    for i in range(F.n):
-        for j in range(F.n):
-            if (F.perp[i] >> j & 1) != (F.perp[j] >> i & 1):
-                st["symmetric"] = (False, (i, j))
-                break
-    return CheckReport(st)
+    """perp must be irreflexive and symmetric; each reports its first
+    failing point or pair in row-major order."""
+    n, perp = F.n, F.perp
+    return first_failure_report(CheckReport, {
+        "irreflexive": next((i for i in range(n) if perp[i] >> i & 1), None),
+        "symmetric": next(((i, j) for i in range(n) for j in range(n)
+                           if (perp[i] >> j & 1) != (perp[j] >> i & 1)),
+                          None),
+    })
 
 
 def orthocomplement(F: Orthoframe, a: int) -> int:
@@ -91,39 +88,33 @@ def exists_R(F: Orthoframe, R, a: int) -> int:
     return biortho(F, image(R, a))
 
 
-def is_reflexive(R, n: int) -> bool:
-    return all(R[i] >> i & 1 for i in range(n))
-
-
-def is_transitive(R, n: int) -> bool:
-    for i in range(n):
-        for j in bits(R[i]):
-            if R[j] & ~R[i]:
-                return False
-    return True
+def _not_preorder(R, n: int):
+    """("not_reflexive", i) for the first i not related to itself, else
+    ("not_transitive", (i, j, k)) for the first i R j, j R k with not
+    i R k; None when R is a preorder."""
+    i = next((i for i in range(n) if not R[i] >> i & 1), None)
+    if i is not None:
+        return "not_reflexive", i
+    # a reflexive R is transitive at row i iff R[R[i]] adds nothing to it
+    i = next((i for i in range(n) if image(R, R[i]) != R[i]), None)
+    if i is None:
+        return None
+    j = next(j for j in bits(R[i]) if R[j] & ~R[i])
+    return "not_transitive", (i, j, bits(R[j] & ~R[i])[0])
 
 
 def check_monadic_frame(F: Orthoframe, R) -> CheckReport:
     """M1: orthogonality relation, M2: preorder, M3: every R[{x}]-ortho is
-    closed under R."""
-    st = {}
+    closed under R.  M1 embeds the failing status of validate_orthoframe;
+    M3 names the first x."""
     base = validate_orthoframe(F)
-    st["M1"] = (base.ok, None if base.ok else base.status)
-    if not is_reflexive(R, F.n):
-        st["M2"] = (False, ("not_reflexive",
-                            next(i for i in range(F.n)
-                                 if not R[i] >> i & 1)))
-    elif not is_transitive(R, F.n):
-        st["M2"] = (False, ("not_transitive", None))
-    else:
-        st["M2"] = (True, None)
-    st["M3"] = (True, None)
-    for x in range(F.n):
-        s = orthocomplement(F, R[x])
-        if image(R, s) & ~s:
-            st["M3"] = (False, x)
-            break
-    return CheckReport(st)
+    return first_failure_report(CheckReport, {
+        "M1": None if base.ok else base.status,
+        "M2": _not_preorder(R, F.n),
+        # s is R[{x}]-ortho, computed once
+        "M3": next((x for x in range(F.n)
+                    if image(R, s := orthocomplement(F, R[x])) & ~s), None),
+    })
 
 
 def subset_tables(F: Orthoframe, R):
@@ -195,31 +186,21 @@ def check_canonical_representation(L: FiniteOL, e: UnaryMap) -> bool:
     pos = {x: i for i, x in enumerate(carrier)}
     if not check_monadic_frame(F, R).ok:
         return False
-
-    def alpha(a):
-        m = 0
-        for x in L.down(a):
-            if x != L.zero:
-                m |= 1 << pos[x]
-        return m
-
+    alpha = [sum(1 << pos[x] for x in bits(m) if x != L.zero)
+             for m in L.masks()[0]]
     CL, emap, masks = monadic_closed_set_structure(F, R)
-    index = {m: k for k, m in enumerate(masks)}
-    if sorted(alpha(a) for a in L.elements()) != sorted(masks):
+    if sorted(alpha) != sorted(masks):
         return False
-    for a in L.elements():
-        ka = index[alpha(a)]
-        if masks[CL.ortho(ka)] != alpha(L.ortho(a)):
-            return False
-        if masks[emap(ka)] != alpha(e(a)):
-            return False
-        for b in L.elements():
-            kb = index[alpha(b)]
-            if masks[CL.meet(ka, kb)] != alpha(L.meet(a, b)):
-                return False
-            if masks[CL.join(ka, kb)] != alpha(L.join(a, b)):
-                return False
-    return True
+    # alpha is a bijection onto masks, so it is the permutation k of
+    # element indices, and the tables must agree through it row by row
+    index = {m: k for k, m in enumerate(masks)}
+    k = [index[m] for m in alpha]
+    M, J, CM, CJ = L.meet_t, L.join_t, CL.meet_t, CL.join_t
+    return all(CL.ortho_t[ka] == k[L.ortho_t[a]]
+               and emap.map[ka] == k[e.map[a]]
+               and [CM[ka][kb] for kb in k] == [k[m] for m in M[a]]
+               and [CJ[ka][kb] for kb in k] == [k[j] for j in J[a]]
+               for a, ka in enumerate(k))
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +208,7 @@ def check_canonical_representation(L: FiniteOL, e: UnaryMap) -> bool:
 
 
 def relations_commute(Ri, Rj, n: int) -> bool:
-    for x in range(n):
-        ij = image(Rj, Ri[x])
-        ji = image(Ri, Rj[x])
-        if ij != ji:
-            return False
-    return True
+    return all(image(Rj, Ri[x]) == image(Ri, Rj[x]) for x in range(n))
 
 
 def check_weak_cylindric_frame(F: Orthoframe, rels: dict,
@@ -240,34 +216,22 @@ def check_weak_cylindric_frame(F: Orthoframe, rels: dict,
     """W1: each (X, perp, R_i) monadic; W2: the relations commute in
     pairs; W3: diagonals symmetric, closed, full on the diagonal pair;
     W4: R_j[D_ij n D_jk] = D_ik for j distinct from i, k."""
-    idxs = sorted(rels)
-    st = {}
-    for i in idxs:
-        rep = check_monadic_frame(F, rels[i])
-        if not rep.ok:
-            st["W1"] = (False, (i, rep.failed()))
-            break
-    st.setdefault("W1", (True, None))
-    for i in idxs:
-        for j in idxs:
-            if i < j and not relations_commute(rels[i], rels[j], F.n):
-                st.setdefault("W2", (False, (i, j)))
-    st.setdefault("W2", (True, None))
-    for i in idxs:
-        if diags[(i, i)] != F.full:
-            st.setdefault("W3", (False, (i, i)))
-        for j in idxs:
-            d = diags[(i, j)]
-            if d != diags[(j, i)] or d != biortho(F, d):
-                st.setdefault("W3", (False, (i, j)))
-    st.setdefault("W3", (True, None))
-    for i, j, k in product(idxs, repeat=3):
-        if j == i or j == k:
-            continue
-        if image(rels[j], diags[(i, j)] & diags[(j, k)]) != diags[(i, k)]:
-            st.setdefault("W4", (False, (i, j, k)))
-    st.setdefault("W4", (True, None))
-    return CheckReport(st)
+    idxs, d = sorted(rels), diags
+    failed = {i: check_monadic_frame(F, rels[i]).failed() for i in idxs}
+    return first_failure_report(CheckReport, {
+        "W1": next(((i, f) for i, f in failed.items() if f), None),
+        "W2": next(((i, j) for i in idxs for j in idxs if i < j
+                    and not relations_commute(rels[i], rels[j], F.n)), None),
+        # an asymmetric or unclosed (i, j) with j < i was met first as
+        # (j, i), so row-major order is the loop order
+        "W3": next(((i, j) for i in idxs for j in idxs
+                    if d[(i, j)] != (F.full if i == j else d[(j, i)])
+                    or d[(i, j)] != biortho(F, d[(i, j)])), None),
+        "W4": next(((i, j, k) for i, j, k in product(idxs, repeat=3)
+                    if j != i and j != k
+                    and image(rels[j], d[(i, j)] & d[(j, k)]) != d[(i, k)]),
+                   None),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +267,7 @@ def all_preorders(n: int):
 
 
 def is_equivalence(R, n: int) -> bool:
-    return is_reflexive(R, n) and is_transitive(R, n) and \
+    return _not_preorder(R, n) is None and \
         all((R[i] >> j & 1) == (R[j] >> i & 1)
             for i in range(n) for j in range(n))
 

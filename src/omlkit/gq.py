@@ -104,9 +104,6 @@ class GQ:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     # -- text form --------------------------------------------------------
 
     def __repr__(self):

@@ -112,19 +112,8 @@ class FiniteOL:
     def down(self, x: int):
         return bits(self.masks()[0][x])
 
-    def up(self, x: int):
-        return bits(self.masks()[1][x])
-
-    def atoms(self):
-        down, z = self.masks()[0], 1 << self.zero
-        return [x for x in self.elements()
-                if x != self.zero and not down[x] & ~(1 << x | z)]
-
     def label(self, x: int) -> str:
         return self.labels[x]
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,25 @@ class QuantifierReport:
         return self.status[axiom][1]
 
 
+@dataclass
+class CheckReport:
+    status: dict  # axiom or condition name -> (ok, witness or None)
+
+    @property
+    def ok(self) -> bool:
+        return all(v[0] for v in self.status.values())
+
+    def failed(self):
+        return sorted(k for k, v in self.status.items() if not v[0])
+
+
+def first_failure_report(report, found: dict):
+    """The report (QuantifierReport or CheckReport) of the map found from
+    each condition to its first failing witness, or None where it holds.
+    A witness is never None, so None always means the condition holds."""
+    return report({name: (w is None, w) for name, w in found.items()})
+
+
 def check_quantifier(L: FiniteOL, e: UnaryMap) -> QuantifierReport:
     """Exhaustive evaluation of Q1-Q6 with witnesses for failures: the
     first p, and for Q3 and Q6 the first q, in element order."""
@@ -84,8 +103,7 @@ def check_quantifier(L: FiniteOL, e: UnaryMap) -> QuantifierReport:
         "Q6": first_pair(([em[mp[y]] for y in em], [mep[y] for y in em])
                          for mp, mep in zip(M, (M[x] for x in em))),
     }
-    return QuantifierReport({a: (found[a] is None, found[a])
-                             for a in AXIOMS})
+    return first_failure_report(QuantifierReport, found)
 
 
 def quantifier_from_subalgebra(L: FiniteOL, S) -> UnaryMap:
@@ -159,13 +177,13 @@ def find_q6_counterexample(max_blocks: int = 4, boolean_only: bool = False):
                 lat.commutes(L, x, y)
                 for x in L.elements() for y in L.elements()):
             continue
+        M, z = L.meet_t, L.zero
         for S in blocks:
-            e = quantifier_from_subalgebra(L, S)
-            for p in L.elements():
-                for q in L.elements():
-                    lhs = e(L.meet(p, e(q)))
-                    rhs = L.meet(e(p), e(q))
-                    if lhs == L.zero and rhs != L.zero:
-                        return Q6Witness(tuple(tuple(b) for b in diagram),
-                                         L, S, p, q)
+            em = quantifier_from_subalgebra(L, S).map
+            # the first (p, q) with e(p ^ e q) = 0 and e p ^ e q != 0
+            pq = next(((p, q) for p, ep in enumerate(em)
+                       for q, eq in enumerate(em)
+                       if em[M[p][eq]] == z and M[ep][eq] != z), None)
+            if pq is not None:
+                return Q6Witness(tuple(tuple(b) for b in diagram), L, S, *pq)
     return None

@@ -63,14 +63,11 @@ class Subspace:
 
     @staticmethod
     def zero(dim: int) -> "Subspace":
-        return _from_echelon(dim, ((), ()))
+        return _bounds(dim)[0]
 
     @staticmethod
     def full(dim: int) -> "Subspace":
-        zeros = (0,) * dim
-        rows = tuple((zeros[:i] + (1,) + zeros[i + 1:], zeros)
-                     for i in range(dim))
-        return _from_echelon(dim, (rows, tuple(range(dim))))
+        return _bounds(dim)[1]
 
     @property
     def rank(self) -> int:
@@ -136,6 +133,21 @@ def _from_echelon(dim: int, echelon_form) -> Subspace:
     rows, pivots = echelon_form
     s.__dict__.update(dim=dim, rows=rows, pivots=pivots)
     return s
+
+
+@lru_cache(maxsize=64)
+def _bounds(dim: int) -> tuple:
+    """The zero and the full subspace of GQ^dim, one object each per
+    dimension, linked as each other's orthocomplement so that neither is
+    ever computed."""
+    zeros = (0,) * dim
+    rows = tuple((zeros[:i] + (1,) + zeros[i + 1:], zeros)
+                 for i in range(dim))
+    zero = _from_echelon(dim, ((), ()))
+    full = _from_echelon(dim, (rows, tuple(range(dim))))
+    object.__setattr__(zero, "_ortho", full)
+    object.__setattr__(full, "_ortho", zero)
+    return zero, full
 
 
 def _check_dims(a: Subspace, b: Subspace):
@@ -236,13 +248,6 @@ class TensorLayout:
 
     def tuples(self):
         return product(*(range(d) for d in self.factor_dims))
-
-    def without(self, factors) -> "TensorLayout":
-        fs = set(factors)
-        rest = tuple(d for k, d in enumerate(self.factor_dims) if k not in fs)
-        if not rest:
-            rest = (1,)
-        return TensorLayout(rest)
 
 
 def _slices(layout: TensorLayout, factors) -> tuple:
@@ -469,9 +474,6 @@ def as_cylindric_structure(layout: TensorLayout, generators,
     """
     dims = tuple(range(layout.n))
     zero, full = Subspace.zero(layout.dim), Subspace.full(layout.dim)
-    # each is the other's orthocomplement, so neither is computed
-    object.__setattr__(zero, "_ortho", full)
-    object.__setattr__(full, "_ortho", zero)
     diagonals = {(i, j): diagonal(layout, (i, j)) for i in dims for j in dims}
     start = [zero, full, *diagonals.values(), *generators]
     # the ops are looked up on each call, so wrappers put on this module's

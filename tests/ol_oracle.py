@@ -7,8 +7,8 @@ method call per element or pair; the new code must build the same
 tables, name the same first witness and raise the same LatticeError
 message.
 
-down, up and atoms are the old FiniteOL methods, written as functions of
-the lattice.  greechie_lattice and enumerate_greechie_diagrams are the
+down and atoms are the old FiniteOL methods, written as functions of the
+lattice.  greechie_lattice and enumerate_greechie_diagrams are the
 builders as they were before each was made one pass: the first derived
 every label from a key tuple in a second pass, the second regenerated
 every shorter level recursively.  Here greechie_lattice builds through
@@ -32,10 +32,6 @@ from omlkit import frames
 
 def down(L, x):
     return [y for y in L.elements() if L.leq(y, x)]
-
-
-def up(L, x):
-    return [y for y in L.elements() if L.leq(x, y)]
 
 
 def atoms(L):

@@ -86,6 +86,23 @@ def test_check_frame_pass_and_malformed():
                str(FIXTURES / "frame_bad_perp.json")).exit_code == 2
 
 
+def test_check_frame_names_first_failing_witnesses(tmp_path):
+    asym = tmp_path / "asym.json"
+    asym.write_text(json.dumps({"points": [0, 1, 2], "perp": [[0, 1], [2, 1]]}))
+    res = run("--json", "-", "check", "frame", str(asym))
+    assert res.exit_code == 2
+    assert json.loads(res.output)["checks"]["symmetric"] == \
+        {"ok": False, "witness": [0, 1]}
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"points": [0, 1, 2], "perp": [],
+                                 "R": {"0": [[0, 0], [1, 1], [2, 2],
+                                             [0, 1], [1, 2]]}}))
+    res = run("--json", "-", "check", "frame", str(chain))
+    assert res.exit_code == 1
+    assert json.loads(res.output)["checks"]["M2"] == \
+        {"ok": False, "witness": ["not_transitive", [0, 1, 2]]}
+
+
 def test_check_algebra():
     assert run("check", "algebra",
                str(FIXTURES / "algebra_diagonal.json")).exit_code == 0

@@ -69,7 +69,7 @@ def test_greechie_text_parsing():
 def test_quantifier_roundtrip_and_inline_vs_file(tmp_path):
     L = lat.mo(2)
     e = qu.quantifier_from_subalgebra(
-        L, lat.subalgebra_closure(L, (L.index_of("a1"),)))
+        L, lat.subalgebra_closure(L, (L.labels.index("a1"),)))
     obj = fo.dump_quantifier(L, e)
     L2, e2 = fo.load_quantifier(obj)
     assert same_lattice(L2, L) and e2.map == e.map

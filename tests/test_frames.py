@@ -17,6 +17,30 @@ def test_validate_orthoframe():
     assert not fr.validate_orthoframe(asym).status["symmetric"][0]
 
 
+def test_symmetric_witness_is_the_first_pair_in_row_major_order():
+    # 0 perp 1 and 2 perp 1 only: (0, 1) comes before (2, 1)
+    F = fr.Orthoframe((0, 1, 2), (0b010, 0b000, 0b010))
+    assert fr.validate_orthoframe(F).status["symmetric"] == (False, (0, 1))
+    rep = fr.check_monadic_frame(F, (0b001, 0b010, 0b100))
+    assert rep.status["M1"] == (False, {"irreflexive": (True, None),
+                                        "symmetric": (False, (0, 1))})
+
+
+def test_intransitive_witness_is_the_first_triple():
+    F = fr.classical_perp(4)
+    # 0 R 1 R 2 without 0 R 2, and later 1 R 2 R 3 without 1 R 3
+    R = (0b0011, 0b0110, 0b1100, 0b1000)
+    assert fr.check_monadic_frame(F, R).status["M2"] == \
+        (False, ("not_transitive", (0, 1, 2)))
+    R = (0b0001, 0b0110, 0b1100, 0b1000)
+    assert fr.check_monadic_frame(F, R).status["M2"] == \
+        (False, ("not_transitive", (1, 2, 3)))
+    R = (0b0011, 0b0000, 0b0100, 0b1000)
+    assert fr.check_monadic_frame(F, R).status["M2"] == \
+        (False, ("not_reflexive", 1))
+    assert not fr.is_equivalence((0b011, 0b110, 0b110), 3)
+
+
 def test_orthocomplement_and_biortho():
     F = fr.classical_perp(3)
     assert fr.orthocomplement(F, 0b011) == 0b100

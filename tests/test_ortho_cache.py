@@ -68,6 +68,21 @@ def test_ortho_is_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_zero_and_full_are_one_linked_pair_per_dimension(monkeypatch):
+    calls = _count_kernel(monkeypatch)
+    for dim in (2, 4, 9):
+        zero, full = Subspace.zero(dim), Subspace.full(dim)
+        assert Subspace.zero(dim) is zero and Subspace.full(dim) is full
+        assert sp.ortho(zero) is full and sp.ortho(full) is zero
+        assert zero == Subspace.from_vectors(dim, [])
+        assert full == Subspace.from_vectors(
+            dim, [[int(i == j) for j in range(dim)] for i in range(dim)])
+        line = Subspace.from_vectors(dim, [[1] * dim])
+        assert sp.join(line, full) is full and sp.join(zero, line) is line
+    assert Subspace.zero(4) is not Subspace.zero(9)
+    assert calls == []
+
+
 def test_meet_of_seen_operands_computes_one_nullspace(monkeypatch):
     a = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])

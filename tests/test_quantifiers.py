@@ -52,7 +52,7 @@ def test_subalgebra_roundtrip_mo2():
 def test_non_subalgebra_rejected():
     L = lat.mo(2)
     with pytest.raises(qu.NotApproximatingError):
-        qu.quantifier_from_subalgebra(L, {L.zero, L.index_of("a1")})
+        qu.quantifier_from_subalgebra(L, {L.zero, L.labels.index("a1")})
 
 
 def test_forall_and_residuation():
@@ -88,7 +88,7 @@ def test_q6_holds_on_boolean_but_fails_on_pasting():
         e = qu.quantifier_from_subalgebra(B, S)
         assert qu.check_quantifier(B, e).ok("Q6")
     L = lat.greechie_lattice([("a", "b", "c"), ("a", "d", "e")])
-    S = next(b for b in lat.blocks(L) if L.index_of("b") in b)
+    S = next(b for b in lat.blocks(L) if L.labels.index("b") in b)
     e = qu.quantifier_from_subalgebra(L, S)
     assert not qu.check_quantifier(L, e).ok("Q6")
 

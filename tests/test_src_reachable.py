@@ -1,9 +1,9 @@
-"""Every module-level function and class in src/omlkit is one a user can
-reach: it is a CLI command, other package code uses it, __all__ exports
-it, an acceptance criterion calls it, or the benchmark runs it.  A
-definition that only its own unit tests call belongs in tests/ (as an
-oracle) or nowhere; the few kept on purpose are listed in ALLOWED with
-their reason.
+"""Every module-level function and class in src/omlkit, and every method
+of such a class, is one a user can reach: it is a CLI command, other
+package code uses it, __all__ exports it, an acceptance criterion calls
+it, or the benchmark runs it.  A definition that only its own unit tests
+call belongs in tests/ (as an oracle) or nowhere; the few kept on purpose
+are listed in ALLOWED with their reason.
 
 A reference counts only when it resolves to the defining module: a bare
 Name inside that module, a name bound by `from .m import x` (or `from
@@ -11,7 +11,13 @@ omlkit.m import x`), or an attribute of a module alias such as `la.x`
 after `from . import linalg as la` or `import omlkit.linalg as la`.  A
 definition's own statement does not count.  perfbench/ is only read;
 there a string constant that is a dotted name also counts, part by part
-and unqualified, so the tracer's WRAPPED table counts."""
+and unqualified, so the tracer's WRAPPED table counts.
+
+A method, named module.Class.method, is called on objects whose class
+the source does not state, so any attribute of that name counts: an
+x.method in src/omlkit outside the method's own definition, in the
+acceptance tests or in perfbench/, or a perfbench string part.  Dunder
+methods are reached by the language and are not listed."""
 
 import ast
 import re
@@ -91,6 +97,18 @@ def _strings(tree) -> set:
             and _DOTTED.fullmatch(n.value) for part in n.value.split(".")}
 
 
+def _attrs(node) -> set:
+    """Every attribute name node uses: x for each a.x."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _methods(stmt):
+    """The non-dunder methods of a class statement."""
+    return [m for m in stmt.body
+            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (m.name.startswith("__") and m.name.endswith("__"))]
+
+
 def _is_command(stmt) -> bool:
     """Registered as a CLI command by a click @group.command() decorator."""
     return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
@@ -99,17 +117,19 @@ def _is_command(stmt) -> bool:
 
 def _census():
     """(definitions, unreached): every module.name defined at module level
-    in src/omlkit, and those that nothing outside their own tests reaches."""
+    in src/omlkit and every module.Class.method, and those that nothing
+    outside their own tests reaches."""
     init = ast.parse((SRC / "__init__.py").read_text())
     outside = {_aliases(init)[name] for name in omlkit.__all__}
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py")
                            .read_text())
     outside |= _refs(acceptance, _aliases(acceptance))
-    bare = set()
+    bare, attrs = set(), _attrs(acceptance)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text())
         outside |= _refs(tree, _aliases(tree))
         bare |= _strings(tree)
+        attrs |= _attrs(tree)
 
     # per top-level statement of each module: the paths it references
     stmts = []
@@ -131,6 +151,24 @@ def _census():
         if not any(name in used for _, other, used in stmts
                    if other is not stmt):
             unreached.add(name)
+
+    # each class body is split into its statements, so that a method's
+    # own definition is the only one left out when it is looked for
+    units = [sub for _, stmt, _ in stmts
+             for sub in (stmt.body if isinstance(stmt, ast.ClassDef)
+                         else [stmt])]
+    used = [(unit, _attrs(unit)) for unit in units]
+    for module, stmt, _ in stmts:
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        for m in _methods(stmt):
+            name = "%s.%s.%s" % (module, stmt.name, m.name)
+            defined.add(name)
+            if m.name in attrs or m.name in bare:
+                continue
+            if not any(m.name in names for unit, names in used
+                       if unit is not m):
+                unreached.add(name)
     return defined, unreached
 
 

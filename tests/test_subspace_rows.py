@@ -79,7 +79,7 @@ def test_operations_match_oracle(case):
 def test_embed_alpha_matches_oracle(case):
     layout, spans = case
     for f in range(layout.n):
-        rest = layout.without((f,)).dim
+        rest = layout.dim // layout.factor_dims[f]
         rows = [v[:rest] for v in spans[0]]
         b = Subspace.from_vectors(rest, rows)
         got = sp.embed_alpha(layout, f, b)
