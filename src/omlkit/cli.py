@@ -6,7 +6,6 @@ input cannot be parsed or violates structural bounds.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import sys
@@ -46,16 +45,6 @@ def _emit(ctx, report, code):
     ctx.exit(code)
 
 
-def _read_input(ctx, path, report):
-    try:
-        data = open(path, "rb").read()
-    except OSError as exc:
-        report["error"] = str(exc)
-        _emit(ctx, report, REFUSED)
-    report["input_sha256"] = hashlib.sha256(data).hexdigest()
-    return data.decode("utf-8")
-
-
 @click.group()
 @click.option("--json", "json_out", default=None,
               help="Write the report as JSON to this file ('-' for stdout).")
@@ -88,15 +77,10 @@ def check(ctx, kind, path, mode):
     """Validate a structure file against its axioms."""
     t0 = time.monotonic()
     report = {"command": "check %s" % kind}
-    text = _read_input(ctx, path, report)
-    max_size = ctx.obj["max_size"]
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        report["error"] = "invalid JSON: %s" % exc
-        _emit(ctx, report, REFUSED)
-    try:
-        code = _run_check(kind, obj, mode, max_size, report, Path(path).parent)
+        text, report["input_sha256"] = formats.read_input(path)
+        code = _run_check(kind, formats.parse_json(text), mode,
+                          ctx.obj["max_size"], report, Path(path).parent)
     except (formats.FormatError, lat.SizeGuardError) as exc:
         report["error"] = str(exc)
         code = REFUSED
@@ -317,8 +301,8 @@ def search(ctx, target, max_blocks, dim, boolean_only):
 def convert(ctx, path):
     """Convert an atom-block diagram text file to lattice JSON."""
     report = {"command": "convert"}
-    text = _read_input(ctx, path, report)
     try:
+        text, report["input_sha256"] = formats.read_input(path)
         L = formats.greechie_to_lattice(text, ctx.obj["max_size"])
     except (formats.FormatError, lat.SizeGuardError) as exc:
         report["error"] = str(exc)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import lattice as lat
-from .lattice import FiniteOL, SizeGuardError
+from .lattice import FiniteOL
 from .quantifiers import (AXIOMS, CheckReport, UnaryMap, check_quantifier,
                           first_failure_report)
 
@@ -72,9 +72,6 @@ def classical_cyl_set_algebra(X, I, *, max_elements=lat.DEFAULT_MAX_ELEMENTS
     X = list(X)
     I = list(I)
     points = list(product(X, repeat=len(I)))
-    if (1 << len(points)) > max_elements:
-        raise SizeGuardError("powerset of %d points exceeds the guard"
-                             % len(points))
     B = lat.boolean_algebra(len(points), max_elements=max_elements)
     pt_index = {p: k for k, p in enumerate(points)}
 

@@ -2,11 +2,13 @@
 
 All structures move through plain JSON objects (and one line-oriented text
 format for atom-block diagrams); loaders raise FormatError on malformed
-input so the CLI can map them to its parse-error exit code.
+input so the CLI can map them to its parse-error exit code.  Input is
+read nowhere else: read_input reads files, and parse_json decodes JSON.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -30,6 +32,26 @@ MAX_FRAME_RELATIONS = 8
 
 # at most dim*dim <= MAX_AMBIENT_DIM generators of an algebra are independent
 MAX_ALGEBRA_GENERATORS = MAX_AMBIENT_DIM
+
+
+def read_input(path) -> tuple:
+    """(UTF-8 text, SHA-256 hex digest) of the file at path; FormatError
+    worded as an OSError, UnicodeDecodeError or NUL-in-path ValueError."""
+    try:
+        with open(path, "rb") as fh:  # the path as given names the error
+            data = fh.read()
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    except (OSError, ValueError) as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def parse_json(text: str):
+    """The JSON value of text; FormatError on any failure: bad JSON, an int
+    past int()'s digit limit (ValueError) or deep nesting (RecursionError)."""
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise FormatError("invalid JSON: %s" % exc) from exc
 
 
 def _need(obj, key, kind=None):
@@ -163,9 +185,10 @@ def _resolve_lattice(obj, base_dir, max_elements):
     if isinstance(sub, str):
         path = Path(base_dir or ".") / sub
         try:
-            sub = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FormatError("cannot read lattice file %s: %s" % (path, exc))
+            sub = parse_json(read_input(path)[0])
+        except FormatError as exc:
+            raise FormatError("cannot read lattice file %s: %s"
+                              % (path, exc.__cause__)) from exc
     return load_lattice(sub, max_elements)
 
 
@@ -219,13 +242,6 @@ def dump_cylindric(C: CylindricStructure) -> dict:
 
 # ---------------------------------------------------------------------------
 # subspaces
-
-
-def parse_scalar(text: str):
-    try:
-        return parse_gq(text)
-    except ValueError as exc:
-        raise FormatError(str(exc))
 
 
 def dump_subspace(layout: TensorLayout, s: Subspace) -> dict:
@@ -313,7 +329,10 @@ def parse_matrix(rows, n: int):
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise FormatError("matrix row has wrong length")
-        out.append(tuple(parse_scalar(str(x)) for x in row))
+        try:
+            out.append(tuple(parse_gq(str(x)) for x in row))
+        except ValueError as exc:
+            raise FormatError(str(exc))
     return tuple(out)
 
 

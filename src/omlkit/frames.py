@@ -10,8 +10,8 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL, bits, close, image,
-                      transitive_closure)
+from .lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL, bits, close, converse,
+                      image, transitive_closure)
 from .quantifiers import CheckReport, UnaryMap, first_failure_report
 
 
@@ -156,38 +156,34 @@ def monadic_closed_set_structure(F: Orthoframe, R,
 # the canonical frame of a finite monadic ortholattice
 
 
+def _drop_bit(m: int, z: int) -> int:
+    """The mask m over elements as a mask over points: bit z removed and
+    the bits above it shifted down, the numbering of canonical_frame."""
+    return (m & ((1 << z) - 1)) | (m >> (z + 1) << z)
+
+
 def canonical_frame(L: FiniteOL, e: UnaryMap):
     """Points are the nonzero elements, x perp y iff x <= y', x R y iff
-    y <= E x.  Returns (frame, R, carrier) with carrier[i] the lattice
-    element behind point i."""
+    y <= E x, read off the up-set of x and the down-set of E x.  Returns
+    (frame, R, carrier) with carrier[i] the lattice element at point i."""
     carrier = tuple(x for x in L.elements() if x != L.zero)
-    pos = {x: i for i, x in enumerate(carrier)}
-    perp = []
-    R = []
-    for x in carrier:
-        pm = 0
-        rm = 0
-        for y in carrier:
-            if L.leq(x, L.ortho(y)):
-                pm |= 1 << pos[y]
-            if L.leq(y, e(x)):
-                rm |= 1 << pos[y]
-        perp.append(pm)
-        R.append(rm)
-    F = Orthoframe(tuple(L.label(x) for x in carrier), tuple(perp))
-    return F, tuple(R), carrier
+    down, up = L.masks()
+    # bit y of pre[z] is set iff y' = z, for any ortho table
+    pre = converse([1 << oy for oy in L.ortho_t])
+    perp = tuple(_drop_bit(image(pre, up[x]), L.zero) for x in carrier)
+    R = tuple(_drop_bit(down[e(x)], L.zero) for x in carrier)
+    F = Orthoframe(tuple(L.label(x) for x in carrier), perp)
+    return F, R, carrier
 
 
 def check_canonical_representation(L: FiniteOL, e: UnaryMap) -> bool:
     """The map a -> (nonzero part of the downset of a) must be an
     isomorphism from (L, E) onto the closed-set structure of the canonical
     frame, intertwining the quantifiers."""
-    F, R, carrier = canonical_frame(L, e)
-    pos = {x: i for i, x in enumerate(carrier)}
+    F, R, _ = canonical_frame(L, e)
     if not check_monadic_frame(F, R).ok:
         return False
-    alpha = [sum(1 << pos[x] for x in bits(m) if x != L.zero)
-             for m in L.masks()[0]]
+    alpha = [_drop_bit(m, L.zero) for m in L.masks()[0]]
     CL, emap, masks = monadic_closed_set_structure(F, R)
     if sorted(alpha) != sorted(masks):
         return False
@@ -267,9 +263,7 @@ def all_preorders(n: int):
 
 
 def is_equivalence(R, n: int) -> bool:
-    return _not_preorder(R, n) is None and \
-        all((R[i] >> j & 1) == (R[j] >> i & 1)
-            for i in range(n) for j in range(n))
+    return _not_preorder(R, n) is None and list(R) == converse(R)
 
 
 def classical_perp(n: int) -> Orthoframe:

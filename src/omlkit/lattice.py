@@ -54,8 +54,8 @@ def transitive_closure(rows) -> list:
     return rows
 
 
-def _transpose(rows):
-    """Bit i of out[j] is set iff bit j of rows[i] is."""
+def converse(rows):
+    """The converse relation: bit i of out[j] is set iff bit j of rows[i]."""
     out = [0] * len(rows)
     for i, row in enumerate(rows):
         for j in bits(row):
@@ -87,7 +87,7 @@ class FiniteOL:
             up = [sum(1 << y for y, m in enumerate(row) if m == x)
                   for x, row in enumerate(self.meet_t)]  # as in leq
             object.__setattr__(self, "_masks",
-                               (tuple(_transpose(up)), tuple(up)))
+                               (tuple(converse(up)), tuple(up)))
         return self._masks
 
     @property
@@ -120,6 +120,12 @@ class FiniteOL:
 # construction
 
 
+def _check_size(n: int, max_elements: int):
+    if n > max_elements:
+        raise SizeGuardError("lattice has %d elements, guard is %d"
+                             % (n, max_elements))
+
+
 def ol_from_leq(labels, leq_pairs, ortho, *,
                 max_elements=DEFAULT_MAX_ELEMENTS):
     """Build a FiniteOL from an order relation given as index pairs.
@@ -132,15 +138,13 @@ def ol_from_leq(labels, leq_pairs, ortho, *,
     n = len(labels)
     if n == 0:
         raise LatticeError("empty element set")
-    if n > max_elements:
-        raise SizeGuardError("lattice has %d elements, guard is %d"
-                             % (n, max_elements))
+    _check_size(n, max_elements)
     up = [1 << i for i in range(n)]
     for i, j in leq_pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise LatticeError("relation pair (%d,%d) out of range" % (i, j))
         up[i] |= 1 << j
-    down = _transpose(transitive_closure(up))
+    down = converse(transitive_closure(up))
     for i in range(n):
         both = up[i] & down[i] & ~(1 << i)
         if both:
@@ -247,10 +251,6 @@ def check_orthomodular(L: FiniteOL) -> OMLFlag:
     return OMLFlag(True)
 
 
-def commutes(L: FiniteOL, x: int, y: int) -> bool:
-    return x == L.join(L.meet(x, y), L.meet(x, L.ortho(y)))
-
-
 def sasaki_product(L: FiniteOL, x: int, y: int) -> int:
     return L.meet(x, L.join(L.ortho(x), y))
 
@@ -329,6 +329,15 @@ def all_subalgebras(L: FiniteOL):
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
+def commutation(L: FiniteOL) -> list:
+    """Bit y of the x-th mask is set iff x commutes with y, that is
+    x = (x ^ y) v (x ^ y').  The relation is symmetric in an OML, and an
+    OML is Boolean iff every mask is full."""
+    J, o = L.join_t, L.ortho_t
+    return [sum(1 << y for y, m in enumerate(mx) if J[m][mx[o[y]]] == x)
+            for x, mx in enumerate(L.meet_t)]
+
+
 def blocks(L: FiniteOL):
     """The blocks (maximal Boolean subalgebras) of an OML: exactly the
     maximal sets of pairwise-commuting elements, so the maximal cliques of
@@ -336,10 +345,7 @@ def blocks(L: FiniteOL):
     LatticeError unless L is an orthomodular ortholattice."""
     if not (validate_ortholattice(L).ok and check_orthomodular(L).is_oml):
         raise LatticeError("blocks need an orthomodular lattice")
-    n, J, o = L.n, L.join_t, L.ortho_t
-    # bit y of adj[x] is set iff y != x commutes with x (symmetric in an OML)
-    adj = [sum(1 << y for y in range(n) if J[mx[y]][mx[o[y]]] == x) & ~(1 << x)
-           for x, mx in enumerate(L.meet_t)]
+    adj = [c & ~(1 << x) for x, c in enumerate(commutation(L))]
     cliques = []
 
     def bron_kerbosch(r, p, x):
@@ -352,7 +358,7 @@ def blocks(L: FiniteOL):
             p &= ~(1 << v)
             x |= 1 << v
 
-    bron_kerbosch(0, (1 << n) - 1, 0)
+    bron_kerbosch(0, (1 << L.n) - 1, 0)
     return sorted(cliques, key=sorted)
 
 
@@ -421,6 +427,20 @@ def greechie_lattice(atom_blocks, *, max_elements=DEFAULT_MAX_ELEMENTS) -> Finit
     for blk in atom_blocks:
         if len(blk) < 2 or len(set(blk)) != len(blk):
             raise LatticeError("block %r must list distinct atoms" % (blk,))
+    # complements (only an atom's can clash) and size come from the tokens,
+    # before any k-atom block's 2^k elements: each atom, its coatom t' when
+    # that is its complement, and 2^k - 2 - 2k elements of the block's own
+    comp = {}
+    for blk in atom_blocks:
+        for t in blk:
+            other = blk[blk[0] == t]  # its complement in a 2-atom block
+            c = (other, "atom") if len(blk) == 2 else (t + "'", "co")
+            if comp.setdefault(t, c) != c:
+                raise LatticeError("atom %r has two complements, %r and %r"
+                                   % (t, comp[t][0], c[0]))
+    _check_size(2 + sum(1 + (kind == "co") for _, kind in comp.values())
+                + sum((1 << len(blk)) - 2 - 2 * len(blk)
+                      for blk in atom_blocks if len(blk) > 2), max_elements)
 
     index, labels = {}, []
 
@@ -450,10 +470,7 @@ def greechie_lattice(atom_blocks, *, max_elements=DEFAULT_MAX_ELEMENTS) -> Finit
         for s, i in ids.items():
             pairs.append((0, i))
             pairs.append((i, 1))
-            co = ids[frozenset(blk) - s]
-            if ortho.setdefault(i, co) != co:
-                raise LatticeError("atom %r has two complements, %r and %r"
-                                   % (labels[i], labels[ortho[i]], labels[co]))
+            ortho[i] = ids[frozenset(blk) - s]
         for s in ids:
             for t in ids:
                 if s < t:

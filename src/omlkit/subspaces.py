@@ -191,13 +191,9 @@ def join(a: Subspace, b: Subspace) -> Subspace:
         return a
     if b is a._ortho:
         return Subspace.full(a.dim)
-    if not b.rows or a.rank == a.dim:
-        return a
-    if not a.rows or b.rank == b.dim:
-        return b
-    # decided by the order where it can be: lo <= hi gives hi, and a
-    # hyperplane hi not above lo gives the full space.  Equal ranks with
-    # different rows are never comparable
+    # decided by the order where it can be: lo <= hi gives hi (so a zero lo
+    # or a full hi), and a hyperplane hi not above lo gives the full space.
+    # Equal ranks with different rows are never comparable
     lo, hi = (a, b) if a.rank <= b.rank else (b, a)
     if lo.rank < hi.rank and _below(lo, hi):
         return hi

@@ -5,7 +5,11 @@ omlkit.cylindric, omlkit.frames and omlkit.quantifiers replaced, kept
 verbatim apart from docstrings and module-level names.  They call a
 method per element or pair and fill their status maps through a record
 closure or setdefault defaults.  The new checkers must give the same
-status maps, ok flags and witnesses, with two declared exceptions:
+status maps, ok flags and witnesses, with two declared exceptions below.
+canonical_frame is the pair-by-pair version that the mask reads of
+omlkit.frames replaced; commutes comes from ol_oracle.
+
+The two exceptions:
 
 - validate_orthoframe here reports the last asymmetric row, because its
   break leaves only the inner loop; the new one reports the first pair in
@@ -19,13 +23,14 @@ from __future__ import annotations
 from itertools import product
 
 from omlkit import lattice as lat
-from omlkit.frames import (Orthoframe, biortho, bits, canonical_frame,
+from omlkit.frames import (Orthoframe, biortho, bits,
                            image, monadic_closed_set_structure,
                            orthocomplement)
 from omlkit.lattice import FiniteOL
 from omlkit.quantifiers import (CheckReport, Q6Witness, UnaryMap,
                                 check_quantifier, quantifier_from_subalgebra)
 from omlkit.cylindric import CylindricStructure, substitution_classical
+from ol_oracle import commutes
 
 
 def check_cylindric(C: CylindricStructure, mode: str = "weak") -> CheckReport:
@@ -150,6 +155,25 @@ def check_monadic_frame(F: Orthoframe, R) -> CheckReport:
     return CheckReport(st)
 
 
+def canonical_frame(L: FiniteOL, e: UnaryMap):
+    carrier = tuple(x for x in L.elements() if x != L.zero)
+    pos = {x: i for i, x in enumerate(carrier)}
+    perp = []
+    R = []
+    for x in carrier:
+        pm = 0
+        rm = 0
+        for y in carrier:
+            if L.leq(x, L.ortho(y)):
+                pm |= 1 << pos[y]
+            if L.leq(y, e(x)):
+                rm |= 1 << pos[y]
+        perp.append(pm)
+        R.append(rm)
+    F = Orthoframe(tuple(L.label(x) for x in carrier), tuple(perp))
+    return F, tuple(R), carrier
+
+
 def check_canonical_representation(L: FiniteOL, e: UnaryMap) -> bool:
     F, R, carrier = canonical_frame(L, e)
     pos = {x: i for i, x in enumerate(carrier)}
@@ -232,7 +256,7 @@ def find_q6_counterexample(max_blocks: int = 4, boolean_only: bool = False):
         except lat.LatticeError:
             continue
         if boolean_only and not all(
-                lat.commutes(L, x, y)
+                commutes(L, x, y)
                 for x in L.elements() for y in L.elements()):
             continue
         for S in blocks:

@@ -8,11 +8,12 @@ tables, name the same first witness and raise the same LatticeError
 message.
 
 down and atoms are the old FiniteOL methods, written as functions of the
-lattice.  greechie_lattice and enumerate_greechie_diagrams are the
-builders as they were before each was made one pass: the first derived
-every label from a key tuple in a second pass, the second regenerated
-every shorter level recursively.  Here greechie_lattice builds through
-this module's ol_from_leq.
+lattice, and commutes is the pair test that the masks of
+lattice.commutation replaced.  greechie_lattice and
+enumerate_greechie_diagrams are the builders as they were before each was
+made one pass: the first derived every label from a key tuple in a second
+pass, the second regenerated every shorter level recursively.  Here
+greechie_lattice builds through this module's ol_from_leq.
 """
 
 from __future__ import annotations
@@ -24,10 +25,14 @@ from omlkit.frames import (Orthoframe, biortho, exists_R, image,
                            orthocomplement)
 from omlkit.lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL, LatticeError,
                             OMLFlag, SizeGuardError, ValidationReport,
-                            Violation, commutes)
+                            Violation)
 from omlkit.quantifiers import (AXIOMS, NotApproximatingError,
                                 QuantifierReport, UnaryMap)
 from omlkit import frames
+
+
+def commutes(L: FiniteOL, x: int, y: int) -> bool:
+    return x == L.join(L.meet(x, y), L.meet(x, L.ortho(y)))
 
 
 def down(L, x):

@@ -67,7 +67,7 @@ def test_mo_family():
         assert lat.check_orthomodular(L).is_oml
     L = lat.mo(2)
     a1, a2 = L.labels.index("a1"), L.labels.index("a2")
-    assert not lat.commutes(L, a1, a2)
+    assert not lat.commutation(L)[a1] >> a2 & 1
 
 
 def test_sasaki_ops():
