@@ -416,22 +416,24 @@ def mo(n: int) -> FiniteOL:
 def greechie_lattice(atom_blocks, *, max_elements=DEFAULT_MAX_ELEMENTS) -> FiniteOL:
     """Paste Boolean blocks given as lists of atom tokens.
 
-    Blocks are glued at 0 and 1; atoms with equal tokens are identified and
-    the orthocomplement of an atom within a block is the join of the block's
-    remaining atoms.  Raises LatticeError when two blocks give an atom
-    different complements (a 2-atom block complements it by an atom, a
-    larger one by the join of the rest) or the pasted order is not a
-    lattice.
+    Blocks are glued at 0 and 1; atoms with equal tokens are identified,
+    the orthocomplement of an atom within a block is the join of the
+    block's remaining atoms, and a block listed again adds nothing.  Raises
+    LatticeError when two blocks give an atom different complements (a
+    2-atom block complements it by an atom, a larger one by the join of the
+    rest) or the pasted order is not a lattice.
     """
-    atom_blocks = [tuple(str(t) for t in blk) for blk in atom_blocks]
-    for blk in atom_blocks:
+    first = {}  # atom set -> (index, atoms) of its first listing
+    for bi, blk in enumerate(atom_blocks):
+        blk = tuple(str(t) for t in blk)
         if len(blk) < 2 or len(set(blk)) != len(blk):
             raise LatticeError("block %r must list distinct atoms" % (blk,))
+        first.setdefault(frozenset(blk), (bi, blk))
     # complements (only an atom's can clash) and size come from the tokens,
     # before any k-atom block's 2^k elements: each atom, its coatom t' when
     # that is its complement, and 2^k - 2 - 2k elements of the block's own
     comp = {}
-    for blk in atom_blocks:
+    for _, blk in first.values():
         for t in blk:
             other = blk[blk[0] == t]  # its complement in a 2-atom block
             c = (other, "atom") if len(blk) == 2 else (t + "'", "co")
@@ -439,8 +441,8 @@ def greechie_lattice(atom_blocks, *, max_elements=DEFAULT_MAX_ELEMENTS) -> Finit
                 raise LatticeError("atom %r has two complements, %r and %r"
                                    % (t, comp[t][0], c[0]))
     _check_size(2 + sum(1 + (kind == "co") for _, kind in comp.values())
-                + sum((1 << len(blk)) - 2 - 2 * len(blk)
-                      for blk in atom_blocks if len(blk) > 2), max_elements)
+                + sum((1 << len(b)) - 2 - 2 * len(b)
+                      for _, b in first.values() if len(b) > 2), max_elements)
 
     index, labels = {}, []
 
@@ -454,7 +456,7 @@ def greechie_lattice(atom_blocks, *, max_elements=DEFAULT_MAX_ELEMENTS) -> Finit
     intern("one", "1")
     pairs = []
     ortho = {0: 1, 1: 0}
-    for bi, blk in enumerate(atom_blocks):
+    for bi, blk in first.values():  # bi labels the inner elements
         ids = {}
         for r in range(1, len(blk)):
             for c in combinations(blk, r):

@@ -297,14 +297,8 @@ def kernel(rows, pivots, ncols: int) -> tuple[tuple, tuple[int, ...]]:
 
 
 def in_rowspace(red: Matrix, v: Vector) -> bool:
-    """Membership test against rows already in rref."""
-    w = list(v)
-    for row in red:
-        c = next(i for i, x in enumerate(row) if x)
-        if w[c]:
-            f = w[c]
-            w = [x - f * y for x, y in zip(w, row)]
-    return not any(w)
+    """Membership test against independent rows, such as rows in rref."""
+    return len(echelon([int_row(r) for r in (*red, v)])[0]) == len(red)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -324,7 +324,7 @@ def random_projection_in(L: StarAlgebra, rng: random.Random):
     for b in L.basis:
         c = GQ(rng.randint(-2, 2), Fraction(rng.randint(-2, 2)))
         x = la.add(x, la.scale(c, b))
-    return range_projection(la.matmul(la.adjoint(x), x))
+    return range_projection(la.adjoint(x))  # range(x* x) = range(x*)
 
 
 def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,

@@ -166,6 +166,15 @@ def test_convert_malformed_exit_2(tmp_path):
     assert run("convert", str(p)).exit_code == 2
 
 
+def test_convert_repeated_block(tmp_path):
+    # the block a b c d listed twice, once reordered, is one block of 16
+    p = tmp_path / "repeated.greechie"
+    p.write_text("a b c d\nd c b a\n")
+    res = run("convert", str(p))
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.output)["elements"]) == 16
+
+
 def test_convert_clashing_complements_exit_2(tmp_path):
     # d is complemented by a v b v c in the first block and by e in the
     # second, so no ortho is an involution on the pasting
@@ -223,6 +232,7 @@ GOLDEN_COMMANDS = (
     + [("repro", name) for name in ("q6", "c5", "diag", "bell",
                                     "commuting-square", "expectation")]
     + [("search", "q6"), ("search", "q6", "--max-blocks", "6"),
+       ("search", "q6", "--max-blocks", "6", "--boolean-only"),
        ("search", "expectation-gap", "--dim", "3")]
     + [("convert", f) for f in ("two_blocks.greechie", "q6_blocks.greechie")])
 

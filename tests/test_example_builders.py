@@ -125,6 +125,46 @@ def test_greechie_size_guard_matches_oracle():
             build(blocks, max_elements=63)
 
 
+ABCD, ABC = ("a", "b", "c", "d"), ("a", "b", "c")
+REPEATED = [  # (listing with repeats, the same blocks listed once)
+    ([ABCD] * 2, [ABCD]),
+    ([ABCD, ("d", "c", "b", "a")], [ABCD]),
+    ([ABCD, ("e", "f"), ("b", "a", "d", "c"), ("f", "e")], [ABCD, ("e", "f")]),
+    ([("c", "f", "g", "h"), ABC, ("a", "c", "b"), ("h", "g", "f", "c")],
+     [("c", "f", "g", "h"), ABC]),
+]
+
+
+@pytest.mark.parametrize("blocks, once", REPEATED,
+                         ids=[str(i) for i in range(len(REPEATED))])
+def test_repeated_blocks_are_one_listing(blocks, once):
+    # a block listed again, in any order, adds nothing: the labels and
+    # tables are those of one listing, within the same size guard
+    want = _built(lat.greechie_lattice, once)
+    assert _built(lat.greechie_lattice, blocks) == want
+    n = len(want[0])
+    assert lat.greechie_lattice(blocks, max_elements=n).n == n
+
+
+def test_repeated_blocks_keep_the_accepted_labels():
+    # repeated blocks of up to 3 atoms were accepted before; an inner
+    # element keeps the index of its block's listing, here 2
+    blocks = [ABC, ("c", "b", "a"), ("c", "f", "g", "h")]
+    new = _built(lat.greechie_lattice, blocks)
+    assert new == _built(oracle.greechie_lattice, blocks)
+    assert "c|f@2" in new[0]
+
+
+def test_repeated_block_hands_one_listing_to_ol_from_leq(monkeypatch):
+    calls = []
+    build = lat.ol_from_leq
+    monkeypatch.setattr(lat, "ol_from_leq",
+                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    for copies in (1, 1000):
+        lat.greechie_lattice([("a", "b", "c")] * copies)
+    assert calls[0] == calls[1]
+
+
 @pytest.mark.parametrize("max_blocks", [-1, 0, 1, 2, 3, 6])
 def test_enumeration_matches_oracle(max_blocks):
     assert list(lat.enumerate_greechie_diagrams(max_blocks)) == \

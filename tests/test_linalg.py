@@ -72,6 +72,11 @@ def test_in_rowspace():
     red, _ = la.rref(la.mat([[1, 0, 1], [0, 1, 1]]))
     assert la.in_rowspace(red, la.mat([[2, 3, 5]])[0])
     assert not la.in_rowspace(red, la.mat([[0, 0, 1]])[0])
+    red, _ = la.rref(la.mat([[I, -ONE]]))
+    assert la.in_rowspace(red, la.mat([[2, 2 * I]])[0])
+    assert not la.in_rowspace(red, la.mat([[ONE, -I]])[0])
+    assert la.in_rowspace((), la.mat([[0, 0]])[0])
+    assert not la.in_rowspace((), la.mat([[0, 1]])[0])
 
 
 def test_solve_consistent_and_inconsistent():

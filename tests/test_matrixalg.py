@@ -254,3 +254,19 @@ def test_expectation_rejects_a_matrix_of_another_size():
 def test_algebra_span_must_live_in_its_matrix_space():
     with pytest.raises(ValueError):
         ma.StarAlgebra(2, ma.full_matrix_algebra(3).span)
+
+
+def test_random_projection_is_the_support_of_x_star_x():
+    # range(x* x) = range(x*), so the same draws give the projection onto
+    # the range of x* x, computed here through the product
+    for n in (3, 4):
+        A = ma.full_matrix_algebra(n)
+        for seed in range(15):
+            got = ma.random_projection_in(A, random.Random(seed))
+            rng = random.Random(seed)
+            x = la.zeros(n, n)
+            for b in A.basis:
+                c = GQ(rng.randint(-2, 2), Fraction(rng.randint(-2, 2)))
+                x = la.add(x, la.scale(c, b))
+            assert got == ma.range_projection(la.matmul(la.adjoint(x), x))
+            assert ma.is_projection(got) and A.contains(got)
