@@ -165,18 +165,22 @@ def invariant_closure(mats, sub: Subspace) -> Subspace:
         current = grown
 
 
-def exists_alg(N: StarAlgebra, p) -> tuple:
-    """Projection onto the smallest commutant(N)-invariant subspace
-    containing the range of p; the quantifier induced by N on projections.
+def _exists_range(N: StarAlgebra, sub: Subspace) -> Subspace:
+    """N' sub: the smallest commutant(N)-invariant subspace of C^n holding
+    sub, spanned by the g v for g in the span rows of N' and v in the rows
+    of sub, in one product step.  It holds sub because I is in N', it is
+    N'-invariant because h g is in N' for h, g in N', and every
+    N'-invariant subspace holding sub holds each g v."""
+    return _from_echelon(N.n, la.echelon(
+        _products(commutant(N).span.rows, sub.rows, N.n)))
 
-    That subspace is N' range(p), spanned by the g v for g in the span rows
-    of N' and v in the rows of range(p), in one product step: it holds
-    range(p) because I is in N', it is N'-invariant because h g is in N'
-    for h, g in N', and every N'-invariant subspace holding range(p) holds
-    each g v."""
+
+def exists_alg(N: StarAlgebra, p) -> tuple:
+    """Projection onto N' range(p), the smallest commutant(N)-invariant
+    subspace containing the range of p; the quantifier induced by N on
+    projections."""
     _flat(N.n, p)  # raises ValueError unless p is n x n
-    return projector_onto(_from_echelon(N.n, la.echelon(
-        _products(commutant(N).span.rows, range_space(p).rows, N.n))))
+    return projector_onto(_exists_range(N, range_space(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +281,15 @@ def check_pimsner_popa(N: StarAlgebra, p, lam) -> PSDResult:
 def check_exists_equals_range_of_expectation(N: StarAlgebra, p) -> bool:
     """Three independently computed projections must coincide: the
     quantifier of N at p, the support (range projection) of E_N(p), and
-    the quantifier of N at that support."""
-    ex = exists_alg(N, p)
-    supp = range_projection(conditional_expectation(N, p))
-    return ex == supp == exists_alg(N, supp)
+    the quantifier of N at that support.  Projections are equal exactly
+    when their ranges are, so the canonical ranges are compared; E_N(p)
+    is read as its integer multiple M (den p), (M, L) the span's projector."""
+    n = N.n
+    _, re, im = la._den_row(_flat(n, p))
+    e_re, e_im = la.int_matvec(N.span._projector[0], (re, im))
+    supp = _from_echelon(n, la.echelon(
+        [(e_re[j::n], e_im[j::n]) for j in range(n)]))
+    return _exists_range(N, range_space(p)) == supp == _exists_range(N, supp)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +300,14 @@ def check_exists_equals_range_of_expectation(N: StarAlgebra, p) -> bool:
 class CommutingSquareReport:
     expectations_commute: bool
     intersection_is_corner: bool
-    quantifiers_commute: bool
+    quantifiers_commute: bool | None  # None: no projection was sampled
     witness: tuple | None = None
 
     @property
     def ok(self) -> bool:
         return (self.expectations_commute
                 and self.intersection_is_corner
-                and self.quantifiers_commute)
+                and self.quantifiers_commute is True)
 
 
 def algebra_intersection(A: StarAlgebra, B: StarAlgebra) -> StarAlgebra:
@@ -333,7 +342,8 @@ def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
                            samples: int = 20) -> CommutingSquareReport:
     """For K inside M, N inside L: (a) E_M E_N = E_N E_M on a basis of L,
     hence as linear maps; (b) the induced projection quantifiers commute
-    on sampled projections of L; (c) M meets N exactly in K."""
+    on sampled projections of L, compared by their ranges, or None with
+    no sample drawn; (c) M meets N exactly in K."""
     for low, high in ((K, M), (K, N), (M, L), (N, L)):
         if not low.span.leq(high.span):
             raise ValueError("algebras do not form a square of inclusions")
@@ -348,13 +358,14 @@ def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
     intersect = algebra_intersection(M, N) == K
     if not intersect:
         witness = witness or ("intersection", None)
-    quant = True
+    quant = None
     if rng is not None:
         for _ in range(samples):
             p = random_projection_in(L, rng)
-            if exists_alg(M, exists_alg(N, p)) != \
-                    exists_alg(N, exists_alg(M, p)):
-                quant = False
+            r = range_space(p)
+            quant = _exists_range(M, _exists_range(N, r)) == \
+                _exists_range(N, _exists_range(M, r))
+            if not quant:
                 witness = witness or ("quantifier_order", p)
                 break
     return CommutingSquareReport(commute, intersect, quant, witness)

@@ -6,15 +6,22 @@ congruence reduction with GQ pivots.  The bodies are those of the previous
 matrixalg and Subspace; only the cached Gram inverse is a function here.
 random_rank_one_projection is the GQ outer product that the algebra
 workload's inputs were first drawn with; the Gaussian-integer one must
-draw the same matrices from the same random state."""
+draw the same matrices from the same random state.
+
+exists_alg, check_exists_equals_range_of_expectation and
+check_commuting_square are the previous matrixalg bodies, which compare
+projection matrices where matrixalg compares their canonical ranges; the
+projector and the expectation they call are the GQ ones of this module."""
 
 import random
 from fractions import Fraction
 
 from omlkit import linalg as la
 from omlkit.gq import GQ, ONE
-from omlkit.matrixalg import PSDResult
-from omlkit.subspaces import Subspace
+from omlkit.matrixalg import (CommutingSquareReport, PSDResult, StarAlgebra,
+                              _flat, _products, algebra_intersection,
+                              commutant, random_projection_in, range_space)
+from omlkit.subspaces import Subspace, _from_echelon
 
 
 def contains(sub: Subspace, v) -> bool:
@@ -126,3 +133,63 @@ def random_rank_one_projection(n: int, rng: random.Random):
     outer = tuple(tuple(v[i] * v[j].conj() for j in range(n))
                   for i in range(n))
     return la.scale(ONE / norm, outer)
+
+
+def range_projection(x):
+    return projector_onto(range_space(x))
+
+
+def exists_alg(N: StarAlgebra, p) -> tuple:
+    """Projection onto the smallest commutant(N)-invariant subspace
+    containing the range of p; the quantifier induced by N on projections.
+
+    That subspace is N' range(p), spanned by the g v for g in the span rows
+    of N' and v in the rows of range(p), in one product step: it holds
+    range(p) because I is in N', it is N'-invariant because h g is in N'
+    for h, g in N', and every N'-invariant subspace holding range(p) holds
+    each g v."""
+    _flat(N.n, p)  # raises ValueError unless p is n x n
+    return projector_onto(_from_echelon(N.n, la.echelon(
+        _products(commutant(N).span.rows, range_space(p).rows, N.n))))
+
+
+def check_exists_equals_range_of_expectation(N: StarAlgebra, p) -> bool:
+    """Three independently computed projections must coincide: the
+    quantifier of N at p, the support (range projection) of E_N(p), and
+    the quantifier of N at that support."""
+    ex = exists_alg(N, p)
+    supp = range_projection(conditional_expectation(N, p))
+    return ex == supp == exists_alg(N, supp)
+
+
+def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
+                           L: StarAlgebra,
+                           rng: random.Random | None = None,
+                           samples: int = 20) -> CommutingSquareReport:
+    """For K inside M, N inside L: (a) E_M E_N = E_N E_M on a basis of L,
+    hence as linear maps; (b) the induced projection quantifiers commute
+    on sampled projections of L; (c) M meets N exactly in K."""
+    for low, high in ((K, M), (K, N), (M, L), (N, L)):
+        if not low.span.leq(high.span):
+            raise ValueError("algebras do not form a square of inclusions")
+    EM = lambda x: conditional_expectation(M, x)
+    EN = lambda x: conditional_expectation(N, x)
+    commute = True
+    witness = None
+    for u in L.basis:
+        if EM(EN(u)) != EN(EM(u)):
+            commute = False
+            witness = witness or ("expectation_order", u)
+    intersect = algebra_intersection(M, N) == K
+    if not intersect:
+        witness = witness or ("intersection", None)
+    quant = True
+    if rng is not None:
+        for _ in range(samples):
+            p = random_projection_in(L, rng)
+            if exists_alg(M, exists_alg(N, p)) != \
+                    exists_alg(N, exists_alg(M, p)):
+                quant = False
+                witness = witness or ("quantifier_order", p)
+                break
+    return CommutingSquareReport(commute, intersect, quant, witness)

@@ -233,7 +233,8 @@ GOLDEN_COMMANDS = (
                                     "commuting-square", "expectation")]
     + [("search", "q6"), ("search", "q6", "--max-blocks", "6"),
        ("search", "q6", "--max-blocks", "6", "--boolean-only"),
-       ("search", "expectation-gap", "--dim", "3")]
+       ("search", "expectation-gap", "--dim", "3"),
+       ("search", "expectation-gap", "--dim", "6")]
     + [("convert", f) for f in ("two_blocks.greechie", "q6_blocks.greechie")])
 
 

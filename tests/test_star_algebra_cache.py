@@ -156,6 +156,36 @@ def test_exists_work_counters():
     assert la.counts == {"echelon_calls": 3, "echelon_rows": 7}
 
 
+def test_support_check_work_counters():
+    # with the commutant and the Gram inverse kept: the range of p (3 column
+    # rows), its product step (2 rows), the columns of E_N(p) (3 rows) and
+    # the product step of their rank-2 range (4 rows); the matrix version
+    # took 8 calls and 21 rows
+    A, p = _two_projection_algebra()
+    ma.commutant(A)
+    ma.conditional_expectation(A, p)
+    la.reset_counts()
+    assert ma.check_exists_equals_range_of_expectation(A, p)
+    assert la.counts == {"echelon_calls": 4, "echelon_rows": 12}
+
+
+def test_commuting_square_work_counters():
+    # criterion 10 with its commutants and Gram inverses kept: the meet of
+    # M and N (2 calls), then per sample the two of random_projection_in,
+    # the range of p and four product steps, and no projector; the matrix
+    # version took 282 calls
+    units2 = [[[1, 0], [0, 0]], [[0, 1], [0, 0]],
+              [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
+    M = ma.build_algebra(4, [la.kron(la.mat(u), la.eye(2)) for u in units2])
+    N = ma.build_algebra(4, [la.kron(la.eye(2), la.mat(u)) for u in units2])
+    K, L = ma.scalar_algebra(4), ma.full_matrix_algebra(4)
+    ma.check_commuting_square(K, M, N, L, random.Random(10), samples=1)
+    la.reset_counts()
+    assert ma.check_commuting_square(K, M, N, L, random.Random(10),
+                                     samples=20).ok
+    assert la.counts["echelon_calls"] == 2 + 20 * 7
+
+
 def test_cached_commutant_equals_fresh_computation():
     A, _ = _two_projection_algebra()
     C = ma.commutant(A)

@@ -37,6 +37,7 @@ def _algebra_job():
     A = ma.build_algebra(3, [ma.random_rank_one_projection(3, rng)])
     p = ma.random_rank_one_projection(3, rng)
     e = ma.conditional_expectation(A, p)
+    ma.exists_alg(A, p)
     assert ma.check_exists_equals_range_of_expectation(A, p)
     return A, e
 
