@@ -86,10 +86,6 @@ class GQ:
     def conj(self) -> "GQ":
         return GQ(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        """Squared modulus; a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):

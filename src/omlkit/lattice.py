@@ -196,7 +196,6 @@ ol_from_covers = ol_from_leq
 class Violation:
     axiom: str
     witness: tuple
-    detail: str = ""
 
 
 @dataclass
@@ -216,8 +215,7 @@ def validate_ortholattice(L: FiniteOL) -> ValidationReport:
     n = L.n
     for x in range(n):
         if L.ortho(L.ortho(x)) != x:
-            structural.append(Violation("ortho_involution", (x,),
-                                        "ortho table is not period two"))
+            structural.append(Violation("ortho_involution", (x,)))
     if structural:
         return ValidationReport(structural, violations)
     down, up = L.masks()

@@ -21,10 +21,6 @@ Matrix = tuple
 Vector = tuple
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return tuple(tuple(ZERO for _ in range(n)) for _ in range(m))
-
-
 def eye(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n))
                  for i in range(n))
@@ -48,12 +44,11 @@ def adjoint(a: Matrix) -> Matrix:
     return transpose(conj_mat(a))
 
 
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in _pairs(a, b))
-
-
 def sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in _pairs(a, b))
+    # zip would cut a longer operand short
+    _check_lengths((a,), len(b))
+    _check_lengths((*a, *b), len(b[0]) if b else 0)
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 def scale(c, a: Matrix) -> Matrix:
@@ -98,13 +93,6 @@ def _check_lengths(rows, n: int):
     """Raise ValueError unless every row has length n; zip would cut it."""
     if any(len(r) != n for r in rows):
         raise ValueError("operand lengths do not match: expected %d" % n)
-
-
-def _pairs(a: Matrix, b: Matrix):
-    """zip(a, b), after checking that a and b have one m x n shape."""
-    _check_lengths((a,), len(b))
-    _check_lengths((*a, *b), len(b[0]) if b else 0)
-    return zip(a, b)
 
 
 def _dot(r, c) -> GQ:

@@ -203,7 +203,6 @@ def conditional_expectation(N: StarAlgebra, x) -> tuple:
 class PSDResult:
     is_psd: bool
     witness: tuple | None = None  # vector v with (v* a v) negative
-    value: GQ | None = None
 
     def __bool__(self):
         return self.is_psd
@@ -219,7 +218,7 @@ def psd_certificate(a) -> PSDResult:
     as W stays Hermitian; the content g of T's column k is then divided out
     of it and of W's row and column k (the diagonal by g^2).  T's columns
     stay positive multiples of those over Q[i], whose own entry is 1, so
-    pivots, witness and value are the same as over Q[i]."""
+    pivots and witness are the same as over Q[i]."""
     n = len(a)
     den, re, im = la._den_row(_flat(n, a))
     if any(re[i * n + j] != re[j * n + i] or im[i * n + j] != -im[j * n + i]
@@ -245,13 +244,11 @@ def psd_certificate(a) -> PSDResult:
                                    Fraction(-ci[q][p], s))
                         v = tuple(alpha * x + y
                                   for x, y in zip(column(p), column(q)))
-                        return PSDResult(False, v,
-                                         -GQ(2) * GQ(alpha.norm2()))
+                        return PSDResult(False, v)
             return PSDResult(True)
         d = cr[piv][piv]
         if d < 0:
-            return PSDResult(False, column(piv),
-                             GQ(Fraction(d, den * cr[piv][n + piv] ** 2)))
+            return PSDResult(False, column(piv))
         active.remove(piv)
         for k in active:
             fr, fi = cr[k][piv], ci[k][piv]
@@ -327,48 +324,42 @@ def random_rank_one_projection(n: int, rng: random.Random):
                  for a, b in v)
 
 
-def random_projection_in(L: StarAlgebra, rng: random.Random):
-    """Support projection of a random PSD element of L; lies in L."""
-    x = la.zeros(L.n, L.n)
-    for b in L.basis:
-        c = GQ(rng.randint(-2, 2), Fraction(rng.randint(-2, 2)))
-        x = la.add(x, la.scale(c, b))
-    return range_projection(la.adjoint(x))  # range(x* x) = range(x*)
-
-
 def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
                            L: StarAlgebra,
                            rng: random.Random | None = None,
                            samples: int = 20) -> CommutingSquareReport:
-    """For K inside M, N inside L: (a) E_M E_N = E_N E_M on a basis of L,
-    hence as linear maps; (b) the induced projection quantifiers commute
-    on sampled projections of L, compared by their ranges, or None with
-    no sample drawn; (c) M meets N exactly in K."""
+    """For K inside M, N inside L: (a) E_M E_N = E_N E_M on the span rows
+    of L, hence as linear maps; (b) the induced projection quantifiers
+    commute on sampled projections of L, compared by their ranges, or None
+    with no sample drawn; (c) M meets N exactly in K.
+
+    (a) runs on the integer projectors (PM, L_M), (PN, L_N) of the spans:
+    both orders carry the factor L_M L_N, so the integer products are
+    compared.  Span row k is a positive multiple of L.basis[k], the
+    witness.  Each sample is the least projection of L above a random
+    rank-one projection q, whose range is L' range(q)."""
     for low, high in ((K, M), (K, N), (M, L), (N, L)):
         if not low.span.leq(high.span):
             raise ValueError("algebras do not form a square of inclusions")
-    EM = lambda x: conditional_expectation(M, x)
-    EN = lambda x: conditional_expectation(N, x)
-    commute = True
-    witness = None
-    for u in L.basis:
-        if EM(EN(u)) != EN(EM(u)):
-            commute = False
-            witness = witness or ("expectation_order", u)
+    (PM, _), (PN, _) = M.span._projector, N.span._projector
+    bad = next((k for k, u in enumerate(L.span.rows)
+                if la.int_matvec(PM, la.int_matvec(PN, u))
+                != la.int_matvec(PN, la.int_matvec(PM, u))), None)
+    witness = None if bad is None else ("expectation_order", L.basis[bad])
     intersect = algebra_intersection(M, N) == K
     if not intersect:
         witness = witness or ("intersection", None)
     quant = None
     if rng is not None:
         for _ in range(samples):
-            p = random_projection_in(L, rng)
-            r = range_space(p)
+            r = _exists_range(L, range_space(
+                random_rank_one_projection(L.n, rng)))
             quant = _exists_range(M, _exists_range(N, r)) == \
                 _exists_range(N, _exists_range(M, r))
             if not quant:
-                witness = witness or ("quantifier_order", p)
+                witness = witness or ("quantifier_order", projector_onto(r))
                 break
-    return CommutingSquareReport(commute, intersect, quant, witness)
+    return CommutingSquareReport(bad is None, intersect, quant, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,49 @@ draw the same matrices from the same random state.
 exists_alg, check_exists_equals_range_of_expectation and
 check_commuting_square are the previous matrixalg bodies, which compare
 projection matrices where matrixalg compares their canonical ranges; the
-projector and the expectation they call are the GQ ones of this module."""
+projector and the expectation they call are the GQ ones of this module.
+check_commuting_square compares E_M E_N and E_N E_M on the GQ basis of L,
+where matrixalg compares integer projector products on its span rows, and
+draws its samples by random_projection_in, the support of a random element
+of L, unless another draw is given; least_projection_above_rank_one is
+the draw of matrixalg.  PSDResult keeps the value v* a v of a failing
+certificate, from GQ.norm2 as norm2 here, and zeros and add are the GQ
+matrix helpers that random_projection_in and the projector were written
+with."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from omlkit import linalg as la
-from omlkit.gq import GQ, ONE
-from omlkit.matrixalg import (CommutingSquareReport, PSDResult, StarAlgebra,
+from omlkit.gq import GQ, ONE, ZERO
+from omlkit.matrixalg import (CommutingSquareReport, StarAlgebra,
                               _flat, _products, algebra_intersection,
-                              commutant, random_projection_in, range_space)
+                              commutant, range_space)
 from omlkit.subspaces import Subspace, _from_echelon
+
+
+def zeros(m: int, n: int):
+    return tuple(tuple(ZERO for _ in range(n)) for _ in range(m))
+
+
+def add(a, b):
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+
+
+def norm2(x: GQ) -> Fraction:
+    """Squared modulus; a nonnegative rational."""
+    return x.re * x.re + x.im * x.im
+
+
+@dataclass
+class PSDResult:
+    is_psd: bool
+    witness: tuple | None = None  # vector v with (v* a v) negative
+    value: GQ | None = None
+
+    def __bool__(self):
+        return self.is_psd
 
 
 def contains(sub: Subspace, v) -> bool:
@@ -33,7 +65,7 @@ def projector_onto(sub: Subspace):
     column basis B."""
     n = sub.dim
     if sub.rank == 0:
-        return la.zeros(n, n)
+        return zeros(n, n)
     B = la.transpose(sub.basis)
     G = la.matmul(la.adjoint(B), B)
     return la.matmul(la.matmul(B, la.inverse(G)), la.adjoint(B))
@@ -101,7 +133,7 @@ def psd_certificate(a) -> PSDResult:
                         alpha = -work[p][q]
                         v = tuple(alpha * trans[i][p] + trans[i][q]
                                   for i in range(n))
-                        val = -GQ(2) * GQ(alpha.norm2())
+                        val = -GQ(2) * GQ(norm2(alpha))
                         return PSDResult(False, v, val)
             return PSDResult(True)
         d = work[piv][piv]
@@ -162,10 +194,26 @@ def check_exists_equals_range_of_expectation(N: StarAlgebra, p) -> bool:
     return ex == supp == exists_alg(N, supp)
 
 
+def random_projection_in(L: StarAlgebra, rng: random.Random):
+    """Support projection of a random PSD element of L; lies in L."""
+    x = zeros(L.n, L.n)
+    for b in L.basis:
+        c = GQ(rng.randint(-2, 2), Fraction(rng.randint(-2, 2)))
+        x = add(x, la.scale(c, b))
+    return range_projection(la.adjoint(x))  # range(x* x) = range(x*)
+
+
+def least_projection_above_rank_one(L: StarAlgebra, rng: random.Random):
+    """The least projection of L above a random rank-one projection q: the
+    projection onto L' range(q), which commutes with L', so lies in L."""
+    return exists_alg(L, random_rank_one_projection(L.n, rng))
+
+
 def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
                            L: StarAlgebra,
                            rng: random.Random | None = None,
-                           samples: int = 20) -> CommutingSquareReport:
+                           samples: int = 20,
+                           draw=random_projection_in) -> CommutingSquareReport:
     """For K inside M, N inside L: (a) E_M E_N = E_N E_M on a basis of L,
     hence as linear maps; (b) the induced projection quantifiers commute
     on sampled projections of L; (c) M meets N exactly in K."""
@@ -186,7 +234,7 @@ def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
     quant = True
     if rng is not None:
         for _ in range(samples):
-            p = random_projection_in(L, rng)
+            p = draw(L, rng)
             if exists_alg(M, exists_alg(N, p)) != \
                     exists_alg(N, exists_alg(M, p)):
                 quant = False

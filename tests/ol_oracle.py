@@ -19,13 +19,13 @@ greechie_lattice builds through this module's ol_from_leq.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 from omlkit.frames import (Orthoframe, biortho, exists_R, image,
                            orthocomplement)
 from omlkit.lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL, LatticeError,
-                            OMLFlag, SizeGuardError, ValidationReport,
-                            Violation)
+                            OMLFlag, SizeGuardError, ValidationReport)
 from omlkit.quantifiers import (AXIOMS, NotApproximatingError,
                                 QuantifierReport, UnaryMap)
 from omlkit import frames
@@ -146,6 +146,15 @@ def ol_from_leq(labels, leq_pairs, ortho, *,
         raise LatticeError("ortho table malformed")
     return FiniteOL(tuple(labels), tuple(meet_t), tuple(join_t), ortho,
                     zero, one)
+
+
+@dataclass
+class Violation:
+    """lattice.Violation as first written, with a free-text detail that
+    nothing read."""
+    axiom: str
+    witness: tuple
+    detail: str = ""
 
 
 def validate_ortholattice(L: FiniteOL) -> ValidationReport:

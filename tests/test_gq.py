@@ -30,7 +30,6 @@ def test_i_squares_to_minus_one():
 def test_conj_and_norm():
     x = GQ(3, -4)
     assert x.conj() == GQ(3, 4)
-    assert x.norm2() == 25
     assert x * x.conj() == GQ(25)
 
 
