@@ -7,16 +7,23 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class GQ:
-    """A complex number a + b*i with a, b rational."""
+    """A complex number a + b*i with a, b rational, held as one reduced
+    integer triple: (a + b*i) / d with d > 0 and gcd(a, b, d) = 1.  The
+    triple is unique, so == compares it; re and im are derived from it."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        a, da = _ratio(re)
+        b, db = _ratio(im)
+        d = lcm(da, db)  # lowest-terms parts over their lcm: reduced
+        _set_a(self, a * (d // da))
+        _set_b(self, b * (d // db))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GQ is immutable")
@@ -25,13 +32,21 @@ class GQ:
         # the default slot-state pickling would go through __setattr__
         return (GQ, (self.re, self.im))
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- arithmetic -------------------------------------------------------
 
     @staticmethod
     def _coerce(x) -> "GQ":
         if isinstance(x, GQ):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return GQ(x)
         return NotImplemented
 
@@ -39,7 +54,8 @@ class GQ:
         o = GQ._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return GQ(self.re + o.re, self.im + o.im)
+        d, e = self._d, o._d
+        return _gq(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
@@ -47,20 +63,21 @@ class GQ:
         o = GQ._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return GQ(self.re - o.re, self.im - o.im)
+        d, e = self._d, o._d
+        return _gq(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
     def __rsub__(self, other):
         o = GQ._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return GQ(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
         o = GQ._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return GQ(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _gq(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -68,11 +85,13 @@ class GQ:
         o = GQ._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n2 = o.re * o.re + o.im * o.im
+        a, b, c, e = self._a, self._b, o._a, o._b
+        n2 = c * c + e * e
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GQ((self.re * o.re + self.im * o.im) / n2,
-                  (self.im * o.re - self.re * o.im) / n2)
+        # (a + bi) / d * d' / (c + ei) = (a + bi)(c - ei) d' / (d (c² + e²))
+        return _gq((a * c + b * e) * o._d, (b * c - a * e) * o._d,
+                   self._d * n2)
 
     def __rtruediv__(self, other):
         o = GQ._coerce(other)
@@ -81,10 +100,10 @@ class GQ:
         return o / self
 
     def __neg__(self):
-        return GQ(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def conj(self) -> "GQ":
-        return GQ(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     # -- comparisons ------------------------------------------------------
 
@@ -92,34 +111,67 @@ class GQ:
         o = GQ._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real GQ equals its Fraction (and int), so it hashes as one
+        return hash((self.re, self.im) if self._b else self.re)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     # -- text form --------------------------------------------------------
 
     def __repr__(self):
-        return "GQ(%r, %r)" % (str(self.re), str(self.im))
+        return "GQ(%r, %r)" % (_part(self._a, self._d),
+                               _part(self._b, self._d))
 
     def __str__(self):
         return format_gq(self)
 
 
-_set_re = GQ.re.__set__
-_set_im = GQ.im.__set__
+_new = object.__new__
+_set_a = GQ._a.__set__
+_set_b = GQ._b.__set__
+_set_d = GQ._d.__set__
 
 
-def _gq_of_fractions(re: Fraction, im: Fraction) -> GQ:
-    """GQ from parts that are already normalised Fractions, without the
-    re-coercion that GQ() does; for hot paths that build many scalars."""
-    z = object.__new__(GQ)
-    _set_re(z, re)
-    _set_im(z, im)
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int (not a bool) or a Fraction; no
+    other value is silently coerced."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError("GQ part must be int or Fraction, not %s"
+                    % type(x).__name__)
+
+
+def _reduced(a: int, b: int, d: int) -> GQ:
+    """The GQ of a triple that is already reduced, with d > 0."""
+    z = _new(GQ)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
     return z
+
+
+def _gq(a: int, b: int, d: int) -> GQ:
+    """The GQ (a + b*i) / d of any ints with d != 0, reduced by one gcd."""
+    if d <= 0:
+        if not d:
+            raise ZeroDivisionError("Gaussian rational with denominator 0")
+        a, b, d = -a, -b, -d
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _reduced(a, b, d)
+
+
+def _part(n: int, d: int) -> str:
+    """The text of the rational n / d, as str() of its Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
 
 
 ZERO = GQ(0)
@@ -141,29 +193,21 @@ def parse_gq(text: str) -> GQ:
     m = _RE_PURE_REAL.fullmatch(s)
     if m:
         return GQ(Fraction(m.group("re")))
-    m = _RE_PURE_IMAG.fullmatch(s)
+    m = _RE_PURE_IMAG.fullmatch(s) or _RE_BOTH.fullmatch(s)
     if m:
-        return GQ(0, _imag_frac(m.group("im")))
-    m = _RE_BOTH.fullmatch(s)
-    if m:
-        return GQ(Fraction(m.group("re")), _imag_frac(m.group("im")))
+        im = m.group("im")
+        # a bare i, +i or -i has coefficient 1
+        im = im + "1" if im in ("", "+", "-") else im
+        return GQ(Fraction(m.groupdict().get("re") or "0"), Fraction(im))
     raise ValueError("cannot parse Gaussian rational: %r" % text)
-
-
-def _imag_frac(s: str) -> Fraction:
-    if s in ("", "+"):
-        return Fraction(1)
-    if s == "-":
-        return Fraction(-1)
-    return Fraction(s)
 
 
 def format_gq(z: GQ) -> str:
     """Canonical text form; inverse of parse_gq."""
-    if z.im == 0:
-        return str(z.re)
-    imag = "i" if abs(z.im) == 1 else "%si" % abs(z.im)
-    sign = "-" if z.im < 0 else "+"
-    if z.re == 0:
-        return ("-" if z.im < 0 else "") + imag
-    return "%s%s%s" % (z.re, sign, imag)
+    a, b, d = z._a, z._b, z._d
+    if not b:
+        return _part(a, d)
+    imag = "i" if abs(b) == d else "%si" % _part(abs(b), d)
+    if not a:
+        return ("-" if b < 0 else "") + imag
+    return "%s%s%s" % (_part(a, d), "-" if b < 0 else "+", imag)

@@ -11,11 +11,10 @@ the boundary.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .gq import GQ, ZERO, ONE, _gq_of_fractions
+from .gq import GQ, ZERO, ONE, _gq
 
 Matrix = tuple
 Vector = tuple
@@ -99,8 +98,7 @@ def _dot(r, c) -> GQ:
     """sum r_k * c_k for rows in (den, re, im) form: one Gaussian-integer
     sum, divided once by the product of the denominators."""
     re, im = int_dot(r[1:], c[1:])
-    den = r[0] * c[0]
-    return _gq_of_fractions(Fraction(re, den), Fraction(im, den))
+    return _gq(re, im, r[0] * c[0])
 
 
 def int_dot(a, b) -> tuple[int, int]:
@@ -219,8 +217,7 @@ def gq_rows(rows, pivots) -> Matrix:
 
 def gq_vector(v, den: int) -> Vector:
     """The Gaussian-integer row v = (re, im) divided by the integer den."""
-    return tuple(_gq_of_fractions(Fraction(x, den), Fraction(y, den))
-                 for x, y in zip(*v))
+    return tuple(_gq(x, y, den) for x, y in zip(*v))
 
 
 def int_row(row) -> tuple[list, list]:
@@ -231,16 +228,19 @@ def int_row(row) -> tuple[list, list]:
 
 def _den_row(row):
     """(den, re, im): the lcm den of the entry denominators and the
-    Gaussian-integer parts of den * row, as lists of ints.  int and
-    Fraction entries are accepted as GQ() accepts them."""
+    Gaussian-integer parts of den * row, as lists of ints, read off each
+    entry's reduced triple.  int and Fraction entries are accepted as GQ()
+    accepts them."""
     try:
-        re = [x.re for x in row]
-        im = [x.im for x in row]
+        den = lcm(*[x._d for x in row])
     except AttributeError:
         return _den_row([x if isinstance(x, GQ) else GQ(x) for x in row])
-    den = lcm(*[q.denominator for q in re], *[q.denominator for q in im])
-    return (den, [q.numerator * (den // q.denominator) for q in re],
-            [q.numerator * (den // q.denominator) for q in im])
+    re, im = [], []
+    for x in row:
+        k = den // x._d
+        re.append(x._a * k)
+        im.append(x._b * k)
+    return den, re, im
 
 
 def _times_conj(a, b, p_re, p_im):

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, isqrt
 
 from . import linalg as la
-from .gq import GQ, ONE, ZERO
+from .gq import GQ, ONE, ZERO, _gq
 from .subspaces import Subspace, _from_echelon, meet as sub_meet
 
 
@@ -240,8 +239,7 @@ def psd_certificate(a) -> PSDResult:
                 for q in active:
                     if q > p and (cr[q][p] or ci[q][p]):
                         s = den * cr[p][n + p] * cr[q][n + q]
-                        alpha = GQ(Fraction(-cr[q][p], s),
-                                   Fraction(-ci[q][p], s))
+                        alpha = _gq(-cr[q][p], -ci[q][p], s)
                         v = tuple(alpha * x + y
                                   for x, y in zip(column(p), column(q)))
                         return PSDResult(False, v)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from omlkit import linalg as la
 from omlkit.gq import GQ, I, ONE, ZERO, format_gq, parse_gq
 
 
@@ -104,3 +105,46 @@ def test_parse_returns_a_roundtrip_value_or_raises_value_error(text):
     except ValueError:
         return
     assert isinstance(z, GQ) and parse_gq(format_gq(z)) == z
+
+
+def test_hash_agrees_with_eq_on_real_values():
+    # a real GQ equals its int or Fraction, so it must hash as one
+    assert hash(GQ(3)) == hash(3)
+    assert len({GQ(3), 3}) == 1
+    assert 3 in {GQ(3)} and GQ(3) in {3}
+    assert Fraction(1, 2) in {GQ(Fraction(1, 2))}
+    assert {GQ(Fraction(-2, 4)): "x"}[Fraction(-1, 2)] == "x"
+    assert hash(GQ(1, 2)) == hash((Fraction(1), Fraction(2)))
+
+
+@given(st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 20),
+       st.integers(-3, 3))
+def test_equal_values_hash_equal(n, d, im):
+    q = Fraction(n, d)
+    z = GQ(q, im)
+    assert z == GQ(Fraction(n * 7, d * 7), im)
+    assert hash(z) == hash(GQ(Fraction(n * 7, d * 7), im))
+    if im == 0:
+        assert z == q and hash(z) == hash(q)
+
+
+@pytest.mark.parametrize("re,im", [
+    (0.1, 0), (0, 0.5), ("1/2", 0), (True, 0), (1, False), (1j, 0),
+    (None, 0), (GQ(1), 0),
+])
+def test_constructor_refuses_inexact_or_non_numeric_parts(re, im):
+    with pytest.raises(TypeError):
+        GQ(re, im)
+
+
+def test_mixed_arithmetic_refuses_floats_and_bools():
+    for bad in (0.5, True, "1"):
+        with pytest.raises(TypeError):
+            ONE + bad
+        with pytest.raises(TypeError):
+            bad * ONE
+        assert ONE != bad
+    with pytest.raises(TypeError):
+        la.mat([[0.5]])
+    with pytest.raises(TypeError):
+        la.inner([GQ(1)], [0.5])
