@@ -17,13 +17,13 @@ class GQ:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
+        # built here, not in __init__, so that a second __init__ call on a
+        # shared constant such as ONE cannot rewrite it
         a, da = _ratio(re)
         b, db = _ratio(im)
         d = lcm(da, db)  # lowest-terms parts over their lcm: reduced
-        _set_a(self, a * (d // da))
-        _set_b(self, b * (d // db))
-        _set_d(self, d)
+        return _reduced(a * (d // da), b * (d // db), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GQ is immutable")
@@ -178,28 +178,27 @@ ZERO = GQ(0)
 ONE = GQ(1)
 I = GQ(0, 1)
 
-# ASCII digits only; a denominator has a non-zero digit
-_FRAC = r"\d+(?:/0*[1-9]\d*)?"
-_RE_PURE_REAL = re.compile(r"(?P<re>[+-]?%s)" % _FRAC, re.ASCII)
-_RE_PURE_IMAG = re.compile(r"(?P<im>[+-]?(?:%s)?)i" % _FRAC, re.ASCII)
-_RE_BOTH = re.compile(r"(?P<re>[+-]?%s)(?P<im>[+-](?:%s)?)i"
-                      % (_FRAC, _FRAC), re.ASCII)
+# ASCII digits only; a denominator has a non-zero digit.  Groups: sign,
+# numerator and denominator of the real part, then of the imaginary part.
+# A real part ends the text or meets the imaginary part's sign, so '12i'
+# is imaginary; the text is not empty
+_DEN = r"(?:/(0*[1-9]\d*))?"
+_RE_GQ = re.compile(r"(?=.)(?:([+-]?)(\d+)%s(?=[+-]|\Z))?"
+                    r"(?:([+-]?)(?:(\d+)%s)?i)?" % (_DEN, _DEN), re.ASCII)
 
 
 def parse_gq(text: str) -> GQ:
     """Parse a scalar written like '3', '-1/2', 'i', '2i' or '1/2+3/4i'."""
-    s = text.replace(" ", "")
     # fullmatch: a pattern ending in $ would also accept a trailing newline
-    m = _RE_PURE_REAL.fullmatch(s)
-    if m:
-        return GQ(Fraction(m.group("re")))
-    m = _RE_PURE_IMAG.fullmatch(s) or _RE_BOTH.fullmatch(s)
-    if m:
-        im = m.group("im")
-        # a bare i, +i or -i has coefficient 1
-        im = im + "1" if im in ("", "+", "-") else im
-        return GQ(Fraction(m.groupdict().get("re") or "0"), Fraction(im))
-    raise ValueError("cannot parse Gaussian rational: %r" % text)
+    m = _RE_GQ.fullmatch(text.replace(" ", ""))
+    if not m:
+        raise ValueError("cannot parse Gaussian rational: %r" % text)
+    xs, xn, xd, ys, yn, yd = m.groups()
+    a = int(xs + xn) if xn else 0
+    # a bare i, +i or -i has coefficient 1
+    b = 0 if ys is None else int(ys + (yn or "1"))
+    da, db = int(xd or 1), int(yd or 1)
+    return _gq(a * db, b * da, da * db)
 
 
 def format_gq(z: GQ) -> str:

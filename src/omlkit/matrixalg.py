@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 from . import linalg as la
 from .gq import GQ, ONE, ZERO, _gq
-from .subspaces import Subspace, _from_echelon, meet as sub_meet
+from .subspaces import Subspace, _from_echelon, meet as sub_meet, ortho
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,39 @@ def _exists_range(N: StarAlgebra, sub: Subspace) -> Subspace:
     sub, spanned by the g v for g in the span rows of N' and v in the rows
     of sub, in one product step.  It holds sub because I is in N', it is
     N'-invariant because h g is in N' for h, g in N', and every
-    N'-invariant subspace holding sub holds each g v."""
-    return _from_echelon(N.n, la.echelon(
-        _products(commutant(N).span.rows, sub.rows, N.n)))
+    N'-invariant subspace holding sub holds each g v.  Above half the
+    dimension it is found on the complement; a full answer is the shared
+    Subspace.full(n), whose projector and orthocomplement are kept."""
+    n, rows = N.n, commutant(N).span.rows
+    if 2 * sub.rank > n:
+        out = sub if sub.rank == n else _exists_complement(rows, sub)
+    else:
+        out = _from_echelon(n, la.echelon(_products(rows, sub.rows, n)))
+    return Subspace.full(n) if out.rank == n else out
+
+
+def _exists_complement(mats, sub: Subspace) -> Subspace:
+    """The least subspace holding sub and invariant under the span rows g
+    of a unital *-algebra, found from ortho(sub), of rows w_1..w_t: u is
+    orthogonal to it iff each g u, as each g* u, is orthogonal to sub, so
+    u = sum c_k w_k with sum c_k <g w_k, s> = 0 for every g and row s of
+    sub.  When every g w_k is orthogonal to sub that leaves sub, with no
+    elimination; else the answer is ortho of the u of the kernel, the full
+    space when the kernel is 0."""
+    n, w = sub.dim, ortho(sub).rows
+    t = len(w)
+    gw = _products(mats, w, n)  # g w_k at g * t + k
+    if all(la.int_orthogonal(v, s) for v in gw for s in sub.rows):
+        return sub
+    conj = [(re, [-y for y in im]) for re, im in sub.rows]
+    red, pivots = la.echelon([la.int_matvec(gw[g:g + t], s)
+                              for g in range(0, len(gw), t) for s in conj])
+    if len(red) == t:
+        return Subspace.full(n)
+    cols = [([re[i] for re, _ in w], [im[i] for _, im in w])
+            for i in range(n)]
+    u = [la.int_matvec(cols, c) for c in la.kernel(red, pivots, t)[0]]
+    return ortho(_from_echelon(n, la.echelon(u)))
 
 
 def exists_alg(N: StarAlgebra, p) -> tuple:

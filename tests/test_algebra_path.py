@@ -20,7 +20,7 @@ import algebra_path_oracle as oracle
 import omlkit.linalg as la
 import omlkit.matrixalg as ma
 from omlkit.gq import GQ, ZERO
-from omlkit.subspaces import Subspace
+from omlkit.subspaces import Subspace, meet, ortho
 
 # Gaussian rationals with small parts and denominators; about half are zero
 _part = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
@@ -253,3 +253,113 @@ def test_psd_certificate_on_a_dense_16x16_gram_matrix():
                           for j, x in enumerate(row))
                     for i, row in enumerate(gram))
     assert not _same_certificate(shifted).is_psd
+
+
+# ---------------------------------------------------------------------------
+# the smaller side: ranges and projectors against the one-sided oracle
+
+
+def _unit(n, i):
+    return tuple(int(j == i) for j in range(n))
+
+
+@st.composite
+def subspace_of_rank(draw, n, rank):
+    """A subspace of GQ^n of exactly the given rank: the span of up to
+    rank random rows, completed by standard basis vectors."""
+    row = st.tuples(*[_small] * n)
+    vecs = draw(st.lists(row, max_size=rank))
+    sub = Subspace(n, vecs)
+    for i in range(n):
+        if sub.rank == rank:
+            break
+        if not sub.contains(_unit(n, i)):
+            vecs.append(_unit(n, i))
+            sub = Subspace(n, vecs)
+    return sub
+
+
+@st.composite
+def algebra_and_subspace(draw):
+    """An algebra of one or two rank-one projections in M_2 to M_6 and a
+    subspace of C^n of a rank drawn from 0 to n, so that the complement
+    has every co-rank, 2 and more from n = 5 on."""
+    n = draw(st.integers(2, 6))
+    vector = st.lists(_small, min_size=n, max_size=n).filter(any)
+    gens = [_projection(draw(vector))
+            for _ in range(draw(st.integers(1, 2)))]
+    sub = draw(subspace_of_rank(n, draw(st.integers(0, n))))
+    return ma.build_algebra(n, gens), sub, draw(subspace_of_rank(n, n - 1))
+
+
+def _same_projector(sub):
+    # M / L == OM / OL, entry by entry, and the same GQ matrix
+    (M, L), (OM, OL) = sub._projector, oracle._projector(sub)
+    assert len(M) == len(OM)
+    for (re, im), (ore, oim) in zip(M, OM):
+        assert [x * OL for x in re] == [x * L for x in ore]
+        assert [y * OL for y in im] == [y * L for y in oim]
+    assert ma.projector_onto(sub) == tuple(la.gq_vector(m, OL) for m in OM)
+
+
+@settings(max_examples=120, deadline=None)
+@given(algebra_and_subspace())
+def test_exists_range_matches_one_sided_oracle(case):
+    # a random subspace mostly spreads to the whole space, so the range,
+    # its complement (both N'-invariant) and the range cut by a hyperplane
+    # (spreading back into the range) are tried as well
+    N, sub, hyper = case
+    ranged = ma._exists_range(N, sub)
+    for s in (sub, ranged, ortho(ranged), meet(ranged, hyper)):
+        got = ma._exists_range(N, Subspace(s.dim, s.basis))
+        assert got == oracle._exists_range(N, s)
+        if got.rank == N.n:
+            assert got is Subspace.full(N.n)
+        _same_projector(Subspace(s.dim, s.basis))
+    assert ma.exists_alg(N, ma.projector_onto(sub)) == \
+        oracle.projector_onto(oracle._exists_range(N, sub))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.integers(0, n).flatmap(lambda r: subspace_of_rank(n, r))))
+def test_projector_matches_one_sided_oracle(sub):
+    # a fresh copy computes on its smaller side, as the first call would
+    _same_projector(Subspace(sub.dim, sub.basis))
+    _same_projector(sub)
+
+
+def test_complement_path_takes_each_branch():
+    # N = M_2 + C 1_4 in M_6, so N' = C 1_2 + M_4; each 4-space here is
+    # decided on its 2-dimensional complement: N' S = S, a kernel of
+    # rank one, and the full space
+    n = 6
+    e = [_unit(n, i) for i in range(n)]
+    N = ma.build_algebra(n, [la.mat([e[0], *[(0,) * n] * 5]),
+                             la.mat([e[1], e[0], *[(0,) * n] * 4])])
+    assert ma.commutant(N).dim == 17
+    plus = tuple(x + y for x, y in zip(e[0], e[1]))
+    mixed = tuple(x + y for x, y in zip(e[0], e[2]))
+    for vecs, rank in ((e[2:], 4), ([e[0], *e[2:5]], 5),
+                       ([plus, *e[2:5]], 5), ([mixed, e[1], *e[3:5]], 6)):
+        sub = Subspace(n, vecs)
+        got = ma._exists_range(N, sub)
+        assert got == oracle._exists_range(N, sub) and got.rank == rank
+        _same_projector(Subspace(n, got.basis))
+
+
+def test_complement_path_with_a_kernel_of_rank_two():
+    # N = M_4 + C 1_4 in M_8, so N' = C 1_4 + M_4: S = <e_0, e_1, e_4,
+    # e_5, e_6> has the complement <e_2, e_3, e_7>, and (N' S)-perp is
+    # <e_2, e_3>, two rows of the kernel
+    n = 8
+    e = [_unit(n, i) for i in range(n)]
+    N = ma.build_algebra(n, [la.mat([e[0], *[(0,) * n] * 7]), la.mat(
+        [(0, 1, 0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0, 0, 0),
+         (0, 1, 0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0),
+         *[(0,) * n] * 4])])
+    assert ma.commutant(N).dim == 17
+    sub = Subspace(n, [e[0], e[1], e[4], e[5], e[6]])
+    got = ma._exists_range(N, sub)
+    assert got == oracle._exists_range(N, sub) == \
+        Subspace(n, [e[0], e[1], *e[4:]])

@@ -2,8 +2,9 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import parse_oracle
 from omlkit import linalg as la
 from omlkit.gq import GQ, I, ONE, ZERO, format_gq, parse_gq
 
@@ -148,3 +149,75 @@ def test_mixed_arithmetic_refuses_floats_and_bools():
         la.mat([[0.5]])
     with pytest.raises(TypeError):
         la.inner([GQ(1)], [0.5])
+
+
+# ---------------------------------------------------------------------------
+# parse_gq against the Fraction(str) parser it replaced
+
+
+def _oracle_parse(text):
+    """The oracle's value, or ValueError with its message."""
+    try:
+        return parse_oracle.parse_gq(text)
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+def _parse(text):
+    try:
+        return parse_gq(text)
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+_digits = st.text("0123456789", min_size=1, max_size=4)
+_sign = st.sampled_from(("", "+", "-"))
+_frac = st.tuples(_digits, st.sampled_from(("", "/")), _digits).map(
+    lambda t: t[0] + (t[1] + t[2] if t[1] else ""))
+# texts the grammar accepts, with zero denominators and stray spaces, and
+# near-misses out of its own alphabet
+_grammar = st.one_of(
+    st.tuples(_sign, _frac).map("".join),
+    st.tuples(_sign, st.one_of(st.just(""), _frac)).map(
+        lambda t: "".join(t) + "i"),
+    st.tuples(_sign, _frac, st.sampled_from("+-"),
+              st.one_of(st.just(""), _frac)).map(lambda t: "".join(t) + "i"),
+)
+
+
+@settings(max_examples=400)
+@given(st.one_of(_grammar, st.text("0123456789/+-i \n\uff11\u0663"),
+                 st.text()))
+def test_parse_matches_the_fraction_parser(text):
+    got, want = _parse(text), _oracle_parse(text)
+    assert got == want
+    if isinstance(want, GQ):
+        assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+        assert repr(got) == repr(want)
+
+
+def test_parse_reads_leading_zeros_and_unreduced_fractions():
+    for text, val in (("007", GQ(7)), ("-0/5", ZERO),
+                      ("2/4", GQ(Fraction(1, 2))),
+                      ("+6/4-0/3i", GQ(Fraction(3, 2))),
+                      ("3/005i", GQ(0, Fraction(3, 5))),
+                      ("-00i", ZERO), ("+1/1+1/1i", GQ(1, 1))):
+        assert parse_gq(text) == val == parse_oracle.parse_gq(text)
+
+
+# ---------------------------------------------------------------------------
+# the shared constants cannot be rebuilt
+
+
+def test_a_second_init_leaves_the_constants_alone():
+    for z, parts in ((ZERO, (0, 0)), (ONE, (1, 0)), (I, (0, 1))):
+        z.__init__(2)
+        GQ.__init__(z, 5, 3)
+        assert (z.re, z.im) == parts
+    assert la.eye(2) == la.mat([[1, 0], [0, 1]])
+    with pytest.raises(AttributeError):
+        ONE._a = 2
+    for z in (ZERO, ONE, I, GQ(Fraction(-3, 4), 2)):
+        back = pickle.loads(pickle.dumps(z))
+        assert back == z and repr(back) == repr(z)
+        assert (back._a, back._b, back._d) == (z._a, z._b, z._d)

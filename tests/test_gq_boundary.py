@@ -4,7 +4,10 @@ only as an input and build one only as a witness.
 
 Inside DECIDERS no call may go to conditional_expectation or to a GQ
 matrix helper of linalg (HELPERS), through a module alias such as la.x or
-a name imported from linalg.  Reading .basis or calling projector_onto
+a name imported from linalg.  The same holds on the smaller side of a
+subspace: _exists_complement in matrixalg, and Subspace._projector and
+ortho in subspaces (SUBSPACE_DECIDERS), which the quantifier and the
+projector call there.  Reading .basis or calling projector_onto
 builds GQ matrices, so each is allowed only inside a witness: a tuple
 whose first element is a string, such as ("expectation_order", L.basis[k]).
 """
@@ -15,7 +18,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "omlkit"
 DECIDERS = {"check_commuting_square",
             "check_exists_equals_range_of_expectation", "_exists_range",
-            "invariant_closure"}
+            "_exists_complement", "invariant_closure"}
+SUBSPACE_DECIDERS = {"_projector", "ortho"}
 HELPERS = {"mat", "adjoint", "transpose", "matmul", "matvec", "sub", "scale",
            "kron", "eye"}
 WITNESS_ONLY = {"basis", "projector_onto"}
@@ -87,6 +91,14 @@ def gq_uses(source: str, functions=DECIDERS) -> list:
 
 def test_deciders_run_on_integer_rows():
     assert gq_uses((SRC / "matrixalg.py").read_text()) == []
+
+
+def test_the_smaller_side_of_a_subspace_runs_on_integer_rows():
+    tree = ast.parse((SRC / "subspaces.py").read_text())
+    assert SUBSPACE_DECIDERS <= {n.name for n in ast.walk(tree)
+                                 if isinstance(n, ast.FunctionDef)}
+    assert gq_uses((SRC / "subspaces.py").read_text(),
+                   SUBSPACE_DECIDERS) == []
 
 
 def test_every_decider_is_defined_in_matrixalg():

@@ -8,6 +8,7 @@ span, is compared with the GQ-rref algebras of star_algebra_oracle."""
 import pickle
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from hypothesis import given, settings, strategies as st
 
@@ -40,16 +41,20 @@ def commutant_oracle(A):
                                      [la.flatten(m) for m in C.basis]))
 
 
-def _count(monkeypatch, name):
-    calls = []
-    real = getattr(la, name)
+def _count_commutant_builds(monkeypatch):
+    """The algebras whose commutant is built, in order, through a counting
+    copy of the kept _commutant property."""
+    built = []
+    real = StarAlgebra.__dict__["_commutant"].func
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(self):
+        built.append(self)
+        return real(self)
 
-    monkeypatch.setattr(la, name, counting)
-    return calls
+    prop = cached_property(counting)
+    prop.__set_name__(StarAlgebra, "_commutant")
+    monkeypatch.setattr(StarAlgebra, "_commutant", prop)
+    return built
 
 
 def _two_projection_algebra(n=3, seed=20):
@@ -102,18 +107,20 @@ def algebra_and_inputs(draw):
 
 
 def test_commutant_is_computed_once(monkeypatch):
+    # commutant builds are counted directly: ortho, on the quantifier's and
+    # the projector's smaller side, calls la.kernel too
     A, p = _two_projection_algebra()
-    calls = _count(monkeypatch, "kernel")
+    built = _count_commutant_builds(monkeypatch)
     C = ma.commutant(A)
     assert ma.commutant(A) is C
     ma.exists_alg(A, p)
     ma.exists_alg(A, ma.exists_alg(A, p))
     assert ma.check_exists_equals_range_of_expectation(A, p)
-    assert len(calls) == 1
+    assert len(built) == 1 and built[0] is A
     assert ma.is_double_commutant_closed(A)
     assert ma.commutant(C).contains(ma.exists_alg(A, p))
     assert ma.commutant(C) is ma.commutant(C)
-    assert len(calls) == 2
+    assert len(built) == 2 and built[1] is C
 
 
 def test_commutant_equations_are_sparse_and_distinct():
@@ -129,12 +136,14 @@ def test_commutant_equations_are_sparse_and_distinct():
 
 
 def test_gram_inverse_is_computed_once():
-    # the first expectation echelons [G | I] once, G the 5 x 5 Gram matrix
-    # of the span rows; every later one is an integer matvec
+    # the span has rank 5 of 9, so its projector is I less that of its
+    # complement: the first expectation takes the complement's kernel (4
+    # rows) and [G | I] once, G the 4 x 4 Gram matrix of the complement's
+    # rows; every later one is an integer matvec
     A, p = _two_projection_algebra()
     la.reset_counts()
     first = ma.conditional_expectation(A, p)
-    assert la.counts == {"echelon_calls": 1, "echelon_rows": 5}
+    assert la.counts == {"echelon_calls": 2, "echelon_rows": 8}
     la.reset_counts()
     assert ma.conditional_expectation(A, p) == first
     ma.conditional_expectation(A, la.eye(3))
@@ -143,37 +152,42 @@ def test_gram_inverse_is_computed_once():
 
 def test_exists_work_counters():
     # the commutant (its equations, then their kernel: 42 rows) on the
-    # first call only; then the range of p (3 column rows), one product
-    # step under the 2-dimensional commutant (2 rows) and the projector's
-    # [G | I] (2 rows)
+    # first call only; then the range of p (3 column rows) and one product
+    # step under the 2-dimensional commutant (2 rows).  That range has rank
+    # 2 of 3, so the projector is taken on its complement: the kernel (1
+    # row) and a 1 x 1 [G | I] (1 row)
     A, p = _two_projection_algebra()
     la.reset_counts()
     first = ma.exists_alg(A, p)
-    assert la.counts == {"echelon_calls": 5, "echelon_rows": 49}
+    assert la.counts == {"echelon_calls": 6, "echelon_rows": 49}
     la.reset_counts()
     assert ma.exists_alg(A, p) == first
-    assert la.counts == {"echelon_calls": 3, "echelon_rows": 7}
+    assert la.counts == {"echelon_calls": 4, "echelon_rows": 7}
 
 
 def test_support_check_work_counters():
     # with the commutant and the Gram inverse kept: the range of p (3 column
     # rows), its product step (2 rows), the columns of E_N(p) (3 rows) and
-    # the product step of their rank-2 range (4 rows); the matrix version
-    # took 8 calls and 21 rows
+    # the complement of their rank-2 range (1 row), on which the quantifier
+    # is an all-zero test with no elimination; the matrix version took 8
+    # calls and 21 rows, and the product step on the range took 4 and 12
     A, p = _two_projection_algebra()
     ma.commutant(A)
     ma.conditional_expectation(A, p)
     la.reset_counts()
     assert ma.check_exists_equals_range_of_expectation(A, p)
-    assert la.counts == {"echelon_calls": 4, "echelon_rows": 12}
+    assert la.counts == {"echelon_calls": 4, "echelon_rows": 9}
 
 
 def test_commuting_square_work_counters():
     # criterion 10 with its commutants and span projectors kept: the meet
-    # of M and N (2 calls), then per sample the range of the rank-one q,
-    # its product step by L' (the least projection of L above q) and four
-    # product steps, and no projector; the matrix version took 282 calls
-    # and the support draws of random_projection_in 2 + 20 * 7
+    # of M and N (2 calls), then per sample the range r of the rank-one q,
+    # its product step by L' (the least projection of L above q) and the
+    # product steps N' r and M' r.  Both are full, and the quantifier of a
+    # full range is the full space with no elimination, so the two steps
+    # after them are free, and there is no projector.  The matrix version
+    # took 282 calls, the support draws of random_projection_in 2 + 20 * 7
+    # and four product steps per sample 2 + 20 * 6
     units2 = [[[1, 0], [0, 0]], [[0, 1], [0, 0]],
               [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
     M = ma.build_algebra(4, [la.kron(la.mat(u), la.eye(2)) for u in units2])
@@ -183,7 +197,7 @@ def test_commuting_square_work_counters():
     la.reset_counts()
     assert ma.check_commuting_square(K, M, N, L, random.Random(10),
                                      samples=20).ok
-    assert la.counts["echelon_calls"] == 2 + 20 * 6
+    assert la.counts["echelon_calls"] == 2 + 20 * 4
 
 
 def test_cached_commutant_equals_fresh_computation():
