@@ -169,39 +169,34 @@ def _exists_range(N: StarAlgebra, sub: Subspace) -> Subspace:
     sub, spanned by the g v for g in the span rows of N' and v in the rows
     of sub, in one product step.  It holds sub because I is in N', it is
     N'-invariant because h g is in N' for h, g in N', and every
-    N'-invariant subspace holding sub holds each g v.  Above half the
-    dimension it is found on the complement; a full answer is the shared
-    Subspace.full(n), whose projector and orthocomplement are kept."""
-    n, rows = N.n, commutant(N).span.rows
-    if 2 * sub.rank > n:
-        out = sub if sub.rank == n else _exists_complement(rows, sub)
-    else:
-        out = _from_echelon(n, la.echelon(_products(rows, sub.rows, n)))
+    N'-invariant subspace holding sub holds each g v.  A hyperplane sub
+    gives sub or the full space, decided on its normal with no product
+    step; a full answer is the shared Subspace.full(n), whose projector
+    and orthocomplement are kept."""
+    n = N.n
+    if sub.rank == n:
+        return Subspace.full(n)
+    rows = commutant(N).span.rows
+    if sub.rank == n - 1:
+        return sub if _holds_hyperplane(rows, sub) else Subspace.full(n)
+    out = _from_echelon(n, la.echelon(_products(rows, sub.rows, n)))
     return Subspace.full(n) if out.rank == n else out
 
 
-def _exists_complement(mats, sub: Subspace) -> Subspace:
-    """The least subspace holding sub and invariant under the span rows g
-    of a unital *-algebra, found from ortho(sub), of rows w_1..w_t: u is
-    orthogonal to it iff each g u, as each g* u, is orthogonal to sub, so
-    u = sum c_k w_k with sum c_k <g w_k, s> = 0 for every g and row s of
-    sub.  When every g w_k is orthogonal to sub that leaves sub, with no
-    elimination; else the answer is ortho of the u of the kernel, the full
-    space when the kernel is 0."""
-    n, w = sub.dim, ortho(sub).rows
-    t = len(w)
-    gw = _products(mats, w, n)  # g w_k at g * t + k
-    if all(la.int_orthogonal(v, s) for v in gw for s in sub.rows):
-        return sub
-    conj = [(re, [-y for y in im]) for re, im in sub.rows]
-    red, pivots = la.echelon([la.int_matvec(gw[g:g + t], s)
-                              for g in range(0, len(gw), t) for s in conj])
-    if len(red) == t:
-        return Subspace.full(n)
-    cols = [([re[i] for re, _ in w], [im[i] for _, im in w])
-            for i in range(n)]
-    u = [la.int_matvec(cols, c) for c in la.kernel(red, pivots, t)[0]]
-    return ortho(_from_echelon(n, la.echelon(u)))
+def _holds_hyperplane(mats, sub: Subspace) -> bool:
+    """Whether each n x n matrix g in mats, flattened row by row as a
+    Gaussian-integer row, maps the hyperplane sub into itself: whether
+    <g s, w> = 0 for each row s of sub and the row w of ortho(sub).  That
+    is sum_j s_j y_j for y_j = sum_i g_ij conj(w_i), column j of g against
+    conj(w), so it needs no adjoint of g."""
+    n = sub.dim
+    (re, im), = ortho(sub).rows
+    cw = (re, [-y for y in im])
+    for gre, gim in mats:
+        y = la.int_matvec([(gre[j::n], gim[j::n]) for j in range(n)], cw)
+        if any(la.int_dot(s, y) != (0, 0) for s in sub.rows):
+            return False
+    return True
 
 
 def exists_alg(N: StarAlgebra, p) -> tuple:

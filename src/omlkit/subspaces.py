@@ -104,20 +104,12 @@ class Subspace:
         M a Gaussian-integer matrix of rows (re, im).  M[a][b] is C_a .
         H conj(C_b) for the columns C of the rows R, where H / L is the
         inverse of the Gram matrix G[j][l] = conj(R_j) . R_l, read off one
-        echelon form of [G | I].  Above half the dimension it is computed
-        on the smaller side: I - M'/L' = (L' I - M') / L' for the projector
-        M'/L' of ortho(self), so the full space gets I with no elimination.
-        Kept like basis, out of ==."""
+        echelon form of [G | I].  Kept like basis, out of ==."""
         k, rows = self.rank, self.rows
-        if 2 * k > self.dim:
-            M, L = ortho(self)._projector
-            return tuple(([L * (i == j) - x for j, x in enumerate(re)],
-                          [-y for y in im])
-                         for i, (re, im) in enumerate(M)), L
         gram = [la.int_matvec(rows, (a, [-y for y in b])) for a, b in rows]
-        aug = [(re + [int(i == j) for j in range(k)], im + [0] * k)
-               for i, (re, im) in enumerate(gram)]
-        red = la.echelon(aug)[0] if k else ()
+        red, _ = la.echelon([(re + [int(i == j) for j in range(k)],
+                              im + [0] * k)
+                             for i, (re, im) in enumerate(gram)])
         L = lcm(*(a[j] for j, (a, _) in enumerate(red)))
         H = [([L // a[j] * x for x in a[k:]], [L // a[j] * y for y in b[k:]])
              for j, (a, b) in enumerate(red)]

@@ -21,16 +21,13 @@ certificate, from GQ.norm2 as norm2 here, and zeros and add are the GQ
 matrix helpers that random_projection_in and the projector were written
 with.
 
-_projector and _exists_range are the previous Subspace._projector and
-matrixalg._exists_range, which always work on the given side of a
-subspace: the Gram inverse of its own rows, and one product step under
-the commutant.  subspaces and matrixalg now compute on the smaller side
-above half the dimension; both must give the same projector and range."""
+_exists_range is the previous matrixalg._exists_range: one product step
+under the commutant for every subspace, where matrixalg decides a full or
+hyperplane subspace with no elimination; both must give the same range."""
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from omlkit import linalg as la
 from omlkit.gq import GQ, ONE, ZERO
@@ -248,26 +245,6 @@ def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
                 witness = witness or ("quantifier_order", p)
                 break
     return CommutingSquareReport(commute, intersect, quant, witness)
-
-
-def _projector(self) -> tuple:
-    """(M, L): the orthogonal projection onto this subspace is M / L,
-    M a Gaussian-integer matrix of rows (re, im).  M[a][b] is C_a .
-    H conj(C_b) for the columns C of the rows R, where H / L is the
-    inverse of the Gram matrix G[j][l] = conj(R_j) . R_l, read off one
-    echelon form of [G | I].  Kept like basis, out of ==."""
-    k, rows = self.rank, self.rows
-    gram = [la.int_matvec(rows, (a, [-y for y in b])) for a, b in rows]
-    red, _ = la.echelon([(re + [int(i == j) for j in range(k)],
-                          im + [0] * k)
-                         for i, (re, im) in enumerate(gram)])
-    L = lcm(*(a[j] for j, (a, _) in enumerate(red)))
-    H = [([L // a[j] * x for x in a[k:]], [L // a[j] * y for y in b[k:]])
-         for j, (a, b) in enumerate(red)]
-    cols = [([a[i] for a, _ in rows], [b[i] for _, b in rows])
-            for i in range(self.dim)]
-    hc = [la.int_matvec(H, (a, [-y for y in b])) for a, b in cols]
-    return tuple(la.int_matvec(hc, c) for c in cols), L
 
 
 def _exists_range(N: StarAlgebra, sub: Subspace) -> Subspace:

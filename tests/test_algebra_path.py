@@ -256,7 +256,7 @@ def test_psd_certificate_on_a_dense_16x16_gram_matrix():
 
 
 # ---------------------------------------------------------------------------
-# the smaller side: ranges and projectors against the one-sided oracle
+# the quantifier range against the product-step oracle
 
 
 def _unit(n, i):
@@ -281,30 +281,27 @@ def subspace_of_rank(draw, n, rank):
 
 @st.composite
 def algebra_and_subspace(draw):
-    """An algebra of one or two rank-one projections in M_2 to M_6 and a
-    subspace of C^n of a rank drawn from 0 to n, so that the complement
-    has every co-rank, 2 and more from n = 5 on."""
+    """An algebra in M_2 to M_6, a subspace of C^n of a rank drawn from 0
+    to n and a hyperplane.  The algebra is generated by one or two rank-one
+    projections, or is the span of I and one rank-one matrix u v^T: a
+    unital algebra, closed under adjoints only when u v^T is a multiple of
+    a Hermitian matrix."""
     n = draw(st.integers(2, 6))
     vector = st.lists(_small, min_size=n, max_size=n).filter(any)
-    gens = [_projection(draw(vector))
-            for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        N = ma.build_algebra(n, [_projection(draw(vector))
+                                 for _ in range(draw(st.integers(1, 2)))])
+    else:
+        u, v = draw(vector), draw(vector)
+        N = ma.StarAlgebra(n, Subspace(n * n, [la.flatten(la.eye(n)),
+                                               [x * y for x in u for y in v]]))
     sub = draw(subspace_of_rank(n, draw(st.integers(0, n))))
-    return ma.build_algebra(n, gens), sub, draw(subspace_of_rank(n, n - 1))
-
-
-def _same_projector(sub):
-    # M / L == OM / OL, entry by entry, and the same GQ matrix
-    (M, L), (OM, OL) = sub._projector, oracle._projector(sub)
-    assert len(M) == len(OM)
-    for (re, im), (ore, oim) in zip(M, OM):
-        assert [x * OL for x in re] == [x * L for x in ore]
-        assert [y * OL for y in im] == [y * L for y in oim]
-    assert ma.projector_onto(sub) == tuple(la.gq_vector(m, OL) for m in OM)
+    return N, sub, draw(subspace_of_rank(n, n - 1))
 
 
 @settings(max_examples=120, deadline=None)
 @given(algebra_and_subspace())
-def test_exists_range_matches_one_sided_oracle(case):
+def test_exists_range_matches_product_step_oracle(case):
     # a random subspace mostly spreads to the whole space, so the range,
     # its complement (both N'-invariant) and the range cut by a hyperplane
     # (spreading back into the range) are tried as well
@@ -315,51 +312,44 @@ def test_exists_range_matches_one_sided_oracle(case):
         assert got == oracle._exists_range(N, s)
         if got.rank == N.n:
             assert got is Subspace.full(N.n)
-        _same_projector(Subspace(s.dim, s.basis))
     assert ma.exists_alg(N, ma.projector_onto(sub)) == \
         oracle.projector_onto(oracle._exists_range(N, sub))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 7).flatmap(
-    lambda n: st.integers(0, n).flatmap(lambda r: subspace_of_rank(n, r))))
-def test_projector_matches_one_sided_oracle(sub):
-    # a fresh copy computes on its smaller side, as the first call would
-    _same_projector(Subspace(sub.dim, sub.basis))
-    _same_projector(sub)
-
-
-def test_complement_path_takes_each_branch():
-    # N = M_2 + C 1_4 in M_6, so N' = C 1_2 + M_4; each 4-space here is
-    # decided on its 2-dimensional complement: N' S = S, a kernel of
-    # rank one, and the full space
+def test_hyperplane_range_needs_no_elimination():
+    # N = M_2 + C 1_4 in M_6, so N' = C 1_2 + M_4: a hyperplane holding
+    # e_2 to e_5 is N'-invariant, and one that does not spreads to C^6;
+    # with the commutant kept, each takes only the one-row echelon form of
+    # its normal, in ortho, and no product step
     n = 6
     e = [_unit(n, i) for i in range(n)]
     N = ma.build_algebra(n, [la.mat([e[0], *[(0,) * n] * 5]),
                              la.mat([e[1], e[0], *[(0,) * n] * 4])])
     assert ma.commutant(N).dim == 17
-    plus = tuple(x + y for x, y in zip(e[0], e[1]))
-    mixed = tuple(x + y for x, y in zip(e[0], e[2]))
-    for vecs, rank in ((e[2:], 4), ([e[0], *e[2:5]], 5),
-                       ([plus, *e[2:5]], 5), ([mixed, e[1], *e[3:5]], 6)):
-        sub = Subspace(n, vecs)
-        got = ma._exists_range(N, sub)
-        assert got == oracle._exists_range(N, sub) and got.rank == rank
-        _same_projector(Subspace(n, got.basis))
+
+    def plus(u, v):
+        return tuple(x + y for x, y in zip(u, v))
+
+    kept = Subspace(n, [plus(e[0], e[1]), *e[2:]])
+    spread = Subspace(n, [e[0], plus(e[1], e[2]), *e[3:]])
+    la.reset_counts()
+    assert ma._exists_range(N, kept) is kept
+    assert ma._exists_range(N, spread) is Subspace.full(n)
+    assert la.counts == {"echelon_calls": 2, "echelon_rows": 2}
+    for sub in (kept, spread):
+        assert ma._exists_range(N, sub) == oracle._exists_range(N, sub)
 
 
-def test_complement_path_with_a_kernel_of_rank_two():
-    # N = M_4 + C 1_4 in M_8, so N' = C 1_4 + M_4: S = <e_0, e_1, e_4,
-    # e_5, e_6> has the complement <e_2, e_3, e_7>, and (N' S)-perp is
-    # <e_2, e_3>, two rows of the kernel
-    n = 8
-    e = [_unit(n, i) for i in range(n)]
-    N = ma.build_algebra(n, [la.mat([e[0], *[(0,) * n] * 7]), la.mat(
-        [(0, 1, 0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0, 0, 0),
-         (0, 1, 0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0),
-         *[(0,) * n] * 4])])
-    assert ma.commutant(N).dim == 17
-    sub = Subspace(n, [e[0], e[1], e[4], e[5], e[6]])
-    got = ma._exists_range(N, sub)
-    assert got == oracle._exists_range(N, sub) == \
-        Subspace(n, [e[0], e[1], *e[4:]])
+def test_hyperplane_range_of_an_algebra_not_closed_under_adjoints():
+    # N = span{I, E_01} in M_3 is a unital algebra but not a *-algebra:
+    # N' = span{E_00 + E_11, E_01, E_02, E_21, E_22}.  S = <e_0, e_2> is
+    # N'-invariant although E_01 maps its normal e_1 into S, so the test
+    # reads <g s, e_1> for the rows s of S, not <g e_1, s>
+    n = 3
+    E = [tuple(int(k == i * n + j) for k in range(n * n))
+         for i in range(n) for j in range(n)]
+    N = ma.StarAlgebra(n, Subspace(n * n, [la.flatten(la.eye(n)), E[1]]))
+    assert ma.commutant(N).span == Subspace(n * n, [
+        tuple(x + y for x, y in zip(E[0], E[4])), E[1], E[2], E[7], E[8]])
+    sub = Subspace(n, [_unit(n, 0), _unit(n, 2)])
+    assert ma._exists_range(N, sub) == oracle._exists_range(N, sub) == sub

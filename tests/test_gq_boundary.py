@@ -4,10 +4,10 @@ only as an input and build one only as a witness.
 
 Inside DECIDERS no call may go to conditional_expectation or to a GQ
 matrix helper of linalg (HELPERS), through a module alias such as la.x or
-a name imported from linalg.  The same holds on the smaller side of a
-subspace: _exists_complement in matrixalg, and Subspace._projector and
-ortho in subspaces (SUBSPACE_DECIDERS), which the quantifier and the
-projector call there.  Reading .basis or calling projector_onto
+a name imported from linalg.  The same holds for the hyperplane test
+_holds_hyperplane, and for Subspace._projector and ortho in subspaces
+(SUBSPACE_DECIDERS), which the quantifier and the projector call.
+Reading .basis or calling projector_onto
 builds GQ matrices, so each is allowed only inside a witness: a tuple
 whose first element is a string, such as ("expectation_order", L.basis[k]).
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "omlkit"
 DECIDERS = {"check_commuting_square",
             "check_exists_equals_range_of_expectation", "_exists_range",
-            "_exists_complement", "invariant_closure"}
+            "_holds_hyperplane", "invariant_closure"}
 SUBSPACE_DECIDERS = {"_projector", "ortho"}
 HELPERS = {"mat", "adjoint", "transpose", "matmul", "matvec", "sub", "scale",
            "kron", "eye"}

@@ -107,8 +107,8 @@ def algebra_and_inputs(draw):
 
 
 def test_commutant_is_computed_once(monkeypatch):
-    # commutant builds are counted directly: ortho, on the quantifier's and
-    # the projector's smaller side, calls la.kernel too
+    # commutant builds are counted directly: ortho, which finds the normal
+    # of a hyperplane range for the quantifier, calls la.kernel too
     A, p = _two_projection_algebra()
     built = _count_commutant_builds(monkeypatch)
     C = ma.commutant(A)
@@ -136,14 +136,12 @@ def test_commutant_equations_are_sparse_and_distinct():
 
 
 def test_gram_inverse_is_computed_once():
-    # the span has rank 5 of 9, so its projector is I less that of its
-    # complement: the first expectation takes the complement's kernel (4
-    # rows) and [G | I] once, G the 4 x 4 Gram matrix of the complement's
-    # rows; every later one is an integer matvec
+    # the first expectation echelons [G | I] once, G the 5 x 5 Gram matrix
+    # of the span rows; every later one is an integer matvec
     A, p = _two_projection_algebra()
     la.reset_counts()
     first = ma.conditional_expectation(A, p)
-    assert la.counts == {"echelon_calls": 2, "echelon_rows": 8}
+    assert la.counts == {"echelon_calls": 1, "echelon_rows": 5}
     la.reset_counts()
     assert ma.conditional_expectation(A, p) == first
     ma.conditional_expectation(A, la.eye(3))
@@ -152,24 +150,23 @@ def test_gram_inverse_is_computed_once():
 
 def test_exists_work_counters():
     # the commutant (its equations, then their kernel: 42 rows) on the
-    # first call only; then the range of p (3 column rows) and one product
-    # step under the 2-dimensional commutant (2 rows).  That range has rank
-    # 2 of 3, so the projector is taken on its complement: the kernel (1
-    # row) and a 1 x 1 [G | I] (1 row)
+    # first call only; then the range of p (3 column rows), one product
+    # step under the 2-dimensional commutant (2 rows) and the projector's
+    # [G | I] (2 rows)
     A, p = _two_projection_algebra()
     la.reset_counts()
     first = ma.exists_alg(A, p)
-    assert la.counts == {"echelon_calls": 6, "echelon_rows": 49}
+    assert la.counts == {"echelon_calls": 5, "echelon_rows": 49}
     la.reset_counts()
     assert ma.exists_alg(A, p) == first
-    assert la.counts == {"echelon_calls": 4, "echelon_rows": 7}
+    assert la.counts == {"echelon_calls": 3, "echelon_rows": 7}
 
 
 def test_support_check_work_counters():
     # with the commutant and the Gram inverse kept: the range of p (3 column
     # rows), its product step (2 rows), the columns of E_N(p) (3 rows) and
-    # the complement of their rank-2 range (1 row), on which the quantifier
-    # is an all-zero test with no elimination; the matrix version took 8
+    # the normal of their rank-2 range (1 row, in ortho): on a hyperplane
+    # the quantifier takes no product step.  The matrix version took 8
     # calls and 21 rows, and the product step on the range took 4 and 12
     A, p = _two_projection_algebra()
     ma.commutant(A)
