@@ -26,7 +26,14 @@ class StarAlgebra:
 
     The basis matrices and the commutant depend only on the span; each is
     kept on the instance on first use, out of ==, hash and repr.  The span
-    keeps its orthogonal projection, which is the conditional expectation."""
+    keeps its orthogonal projection, which is the conditional expectation.
+
+    The span is not checked; the quantifier range is right for any span.
+    conditional_expectation and the factor verdict of `check algebra`
+    assume a unital *-algebra, which build_algebra, formats.load_algebra,
+    the three named builders, and commutant and algebra_intersection of
+    *-algebras guarantee.  Outside input reaches a StarAlgebra only
+    through formats.load_algebra."""
 
     n: int
     span: Subspace  # of dimension n * n
@@ -100,8 +107,20 @@ def commutant(A: StarAlgebra) -> StarAlgebra:
     return A._commutant
 
 
-def is_double_commutant_closed(A: StarAlgebra) -> bool:
-    return commutant(commutant(A)) == A
+def scalar_algebra(n: int) -> StarAlgebra:
+    # the flattened identity is already a canonical echelon row
+    one = tuple(int(i % (n + 1) == 0) for i in range(n * n))
+    return StarAlgebra(n, _from_echelon(n * n, (((one, (0,) * n * n),), (0,))))
+
+
+def full_matrix_algebra(n: int) -> StarAlgebra:
+    return StarAlgebra(n, Subspace.full(n * n))
+
+
+def diagonal_algebra(n: int) -> StarAlgebra:
+    mats = [tuple(tuple(ONE if i == j == k else ZERO for j in range(n))
+                  for i in range(n)) for k in range(n)]
+    return StarAlgebra(n, _span(n, mats))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +341,7 @@ class CommutingSquareReport:
     intersection_is_corner: bool
     quantifiers_commute: bool | None  # None: no projection was sampled
     witness: tuple | None = None
+    quantifier_witness: tuple | None = None  # kept apart from witness
 
     @property
     def ok(self) -> bool:
@@ -360,7 +380,8 @@ def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
     both orders carry the factor L_M L_N, so the integer products are
     compared.  Span row k is a positive multiple of L.basis[k], the
     witness.  Each sample is the least projection of L above a random
-    rank-one projection q, whose range is L' range(q)."""
+    rank-one projection q, whose range is L' range(q); the first failing
+    sample p is kept as ("quantifier_order", p) in quantifier_witness."""
     for low, high in ((K, M), (K, N), (M, L), (N, L)):
         if not low.span.leq(high.span):
             raise ValueError("algebras do not form a square of inclusions")
@@ -372,7 +393,7 @@ def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
     intersect = algebra_intersection(M, N) == K
     if not intersect:
         witness = witness or ("intersection", None)
-    quant = None
+    quant = qwit = None
     if rng is not None:
         for _ in range(samples):
             r = _exists_range(L, range_space(
@@ -380,54 +401,8 @@ def check_commuting_square(K: StarAlgebra, M: StarAlgebra, N: StarAlgebra,
             quant = _exists_range(M, _exists_range(N, r)) == \
                 _exists_range(N, _exists_range(M, r))
             if not quant:
-                witness = witness or ("quantifier_order", projector_onto(r))
+                qwit = ("quantifier_order", projector_onto(r))
                 break
-    return CommutingSquareReport(bad is None, intersect, quant, witness)
+    return CommutingSquareReport(bad is None, intersect, quant,
+                                 witness or qwit, qwit)
 
-
-# ---------------------------------------------------------------------------
-# projection lattice quantifier instance
-
-
-def scalar_algebra(n: int) -> StarAlgebra:
-    # the flattened identity is already a canonical echelon row
-    one = tuple(int(i % (n + 1) == 0) for i in range(n * n))
-    return StarAlgebra(n, _from_echelon(n * n, (((one, (0,) * n * n),), (0,))))
-
-
-def full_matrix_algebra(n: int) -> StarAlgebra:
-    return StarAlgebra(n, Subspace.full(n * n))
-
-
-def diagonal_algebra(n: int) -> StarAlgebra:
-    mats = [tuple(tuple(ONE if i == j == k else ZERO for j in range(n))
-                  for i in range(n)) for k in range(n)]
-    return StarAlgebra(n, _span(n, mats))
-
-
-@dataclass
-class ExpectationGapRecord:
-    algebra_dim: int
-    checked: int
-    gaps: tuple  # projections where the support identity failed
-
-
-def search_expectation_gap(n: int, rng: random.Random,
-                           algebras: int = 5,
-                           samples: int = 10):
-    """Test the support identity on random unital inclusions in the n x n
-    matrices; returns one record per inclusion tried."""
-    candidates = [scalar_algebra(n), diagonal_algebra(n)]
-    for _ in range(algebras):
-        gens = [random_rank_one_projection(n, rng)
-                for _ in range(rng.randint(1, 2))]
-        candidates.append(build_algebra(n, gens))
-    out = []
-    for N in candidates:
-        gaps = []
-        for _ in range(samples):
-            p = random_rank_one_projection(n, rng)
-            if not check_exists_equals_range_of_expectation(N, p):
-                gaps.append(p)
-        out.append(ExpectationGapRecord(N.dim, samples, tuple(gaps)))
-    return out

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import omlkit.formats as formats
+import omlkit.linalg as la
+import omlkit.matrixalg as ma
+import star_algebra_oracle as oracle
 from omlkit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,8 +109,63 @@ def test_check_frame_names_first_failing_witnesses(tmp_path):
 
 
 def test_check_algebra():
-    assert run("check", "algebra",
-               str(FIXTURES / "algebra_diagonal.json")).exit_code == 0
+    # the diagonal algebra of M_2 is its own commutant and center, so it is
+    # not a factor; the shift and the diagonal generate all of M_8
+    res = run("--json", "-", "check", "algebra",
+              str(FIXTURES / "algebra_diagonal.json"))
+    rep = json.loads(res.output)
+    assert res.exit_code == 1
+    assert (rep["algebra_dim"], rep["commutant_dim"], rep["center_dim"]) == \
+        (2, 2, 2)
+    assert rep["checks"] == {"factor": {"ok": False,
+                                        "witness": [["1", "0"], ["0", "0"]]}}
+    res = run("--json", "-", "check", "algebra",
+              str(FIXTURES / "algebra_shift_diag8.json"))
+    rep = json.loads(res.output)
+    assert res.exit_code == 0
+    assert (rep["algebra_dim"], rep["commutant_dim"], rep["center_dim"]) == \
+        (64, 1, 1)
+    assert rep["checks"] == {"factor": {"ok": True, "witness": None}}
+
+
+def _factor_cases():
+    """The scalar, diagonal and full algebras of M_2..M_4, and the algebras
+    of 0 to 2 seeded rank-one projections there."""
+    rng = random.Random(27)
+    for n in (2, 3, 4):
+        yield ma.scalar_algebra(n)
+        yield ma.diagonal_algebra(n)
+        yield ma.full_matrix_algebra(n)
+        for k in (0, 1, 2):
+            for _ in range(3):
+                yield ma.build_algebra(n, [ma.random_rank_one_projection(
+                    n, rng) for _ in range(k)])
+
+
+def test_factor_verdict_matches_center_oracle(tmp_path):
+    path = tmp_path / "algebra.json"
+    seen = set()
+    for A in _factor_cases():
+        path.write_text(json.dumps(formats.dump_algebra(A)))
+        res = run("--json", "-", "check", "algebra", str(path))
+        rep = json.loads(res.output)
+        center = oracle.center(oracle.GQAlgebra(A.n, A.basis))
+        assert rep["algebra_dim"] == A.dim
+        assert rep["commutant_dim"] == ma.commutant(A).dim
+        assert rep["center_dim"] == center.dim
+        factor = center.dim == 1
+        assert rep["checks"]["factor"]["ok"] is factor
+        assert res.exit_code == (0 if factor else 1)
+        seen.add(factor)
+        wit = rep["checks"]["factor"]["witness"]
+        if factor:
+            assert wit is None
+            continue
+        z = formats.parse_matrix(wit, A.n)
+        assert A.contains(z) and center.contains(z)
+        assert all(la.matmul(z, b) == la.matmul(b, z) for b in A.basis)
+        assert not ma.scalar_algebra(A.n).contains(z)
+    assert seen == {True, False}
 
 
 def test_size_guard_exit_2(tmp_path):
@@ -138,15 +198,9 @@ def test_search_q6_found_and_boolean_exhausted():
 
 def test_search_bounds_refused():
     assert run("search", "q6", "--max-blocks", "99").exit_code == 2
-    assert run("search", "expectation-gap", "--dim", "99").exit_code == 2
-
-
-def test_search_expectation_gap():
-    res = run("--json", "-", "--seed", "3", "search", "expectation-gap",
-              "--dim", "2")
-    rep = json.loads(res.output)
-    assert res.exit_code == 0
-    assert not rep["gap_found"]
+    # the expectation-gap search and its --dim are gone: click refuses both
+    assert run("search", "expectation-gap").exit_code == 2
+    assert run("search", "q6", "--dim", "4").exit_code == 2
 
 
 def test_convert_greechie():
@@ -232,9 +286,7 @@ GOLDEN_COMMANDS = (
     + [("repro", name) for name in ("q6", "c5", "diag", "bell",
                                     "commuting-square", "expectation")]
     + [("search", "q6"), ("search", "q6", "--max-blocks", "6"),
-       ("search", "q6", "--max-blocks", "6", "--boolean-only"),
-       ("search", "expectation-gap", "--dim", "3"),
-       ("search", "expectation-gap", "--dim", "6")]
+       ("search", "q6", "--max-blocks", "6", "--boolean-only")]
     + [("convert", f) for f in ("two_blocks.greechie", "q6_blocks.greechie")])
 
 
@@ -257,6 +309,13 @@ def _golden_report(args):
 def test_report_matches_golden(args):
     golden = json.loads((GOLDEN / _golden_name(args)).read_text())
     assert _golden_report(args) == golden
+
+
+def test_every_golden_file_has_a_command():
+    # a golden report whose command was dropped would otherwise stay behind
+    # unchecked
+    assert {p.name for p in GOLDEN.iterdir()} == \
+        {_golden_name(a) for a in GOLDEN_COMMANDS}
 
 
 if __name__ == "__main__":

@@ -271,3 +271,31 @@ def test_unsampled_quantifier_order_is_not_claimed():
         assert rep.quantifiers_commute is None
         assert rep.ok is False
         assert rep.witness is None
+
+
+def test_quantifier_witness_is_kept_under_the_witness_precedence():
+    # M = {P}', N = {Q}' in M_4, for P and Q each the range of two seeded
+    # rank-one projections: the expectations do not commute, so `witness`
+    # names their order, and the sample where the quantifier orders differ
+    # is kept apart as quantifier_witness, with a projection of L
+    L = ma.full_matrix_algebra(4)
+    for seed in range(1, 40):
+        rng = random.Random(seed)
+        P, Q = (ma.range_projection(tuple(
+            a + b for a, b in zip(ma.random_rank_one_projection(4, rng),
+                                  ma.random_rank_one_projection(4, rng))))
+            for _ in range(2))
+        M = ma.commutant(ma.build_algebra(4, [P]))
+        N = ma.commutant(ma.build_algebra(4, [Q]))
+        rep = ma.check_commuting_square(ma.algebra_intersection(M, N), M, N,
+                                        L, random.Random(seed), samples=20)
+        assert rep.quantifiers_commute is False
+        assert rep.witness[0] == "expectation_order"
+        kind, w = rep.quantifier_witness
+        assert kind == "quantifier_order"
+        assert ma.is_projection(w) and L.contains(w)
+        assert ma.exists_alg(M, ma.exists_alg(N, w)) != \
+            ma.exists_alg(N, ma.exists_alg(M, w))
+    rep = ma.check_commuting_square(*_criterion_10_square(),
+                                    random.Random(10), samples=20)
+    assert rep.ok and rep.quantifier_witness is None

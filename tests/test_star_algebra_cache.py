@@ -117,7 +117,7 @@ def test_commutant_is_computed_once(monkeypatch):
     ma.exists_alg(A, ma.exists_alg(A, p))
     assert ma.check_exists_equals_range_of_expectation(A, p)
     assert len(built) == 1 and built[0] is A
-    assert ma.is_double_commutant_closed(A)
+    assert ma.commutant(ma.commutant(A)) == A
     assert ma.commutant(C).contains(ma.exists_alg(A, p))
     assert ma.commutant(C) is ma.commutant(C)
     assert len(built) == 2 and built[1] is C
