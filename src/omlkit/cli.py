@@ -264,18 +264,15 @@ _REPROS = {
 @click.argument("target", type=click.Choice(["q6"]))
 @click.option("--max-blocks", default=4, type=int,
               help="Atom-block count bound for the diagram search.")
-@click.option("--boolean-only", is_flag=True,
-              help="Restrict the diagram search to Boolean lattices.")
 @click.pass_context
-def search(ctx, target, max_blocks, boolean_only):
-    """Search atom-block pastings for a quantifier that fails Q6."""
+def search(ctx, target, max_blocks):
+    """Search 3-atom-block pastings for a block quantifier that fails Q6."""
     t0 = time.monotonic()
     report = {"command": "search %s" % target}
     if max_blocks < 1 or max_blocks > 6:
         report["error"] = "--max-blocks must be between 1 and 6"
         _emit(ctx, report, REFUSED)
-    wit = find_q6_counterexample(max_blocks=max_blocks,
-                                 boolean_only=boolean_only)
+    wit = find_q6_counterexample(max_blocks=max_blocks)
     report["found"] = wit is not None
     if wit is not None:
         report["witness"] = wit.summary()

@@ -26,9 +26,9 @@ class FormatError(ValueError):
     pass
 
 
-# most relations a frame file may give: the W4 check of a weak cylindric
-# frame visits k^3 relation triples and its diagonals take k^2 entries
-MAX_FRAME_RELATIONS = 8
+# most relations a frame file, and cylindrifications a cylindric file, may
+# give: W4 and C4 visit k^3 index triples and the diagonals take k^2 entries
+MAX_INDICES = 8
 
 # at most dim*dim <= MAX_AMBIENT_DIM generators of an algebra are independent
 MAX_ALGEBRA_GENERATORS = MAX_AMBIENT_DIM
@@ -216,6 +216,9 @@ def load_cylindric(obj, base_dir=None,
     L = _resolve_lattice(obj, base_dir, max_elements)
     cyl = {}
     cyls = _need(obj, "cylindrifications", dict)
+    if len(cyls) > MAX_INDICES:
+        raise FormatError("%d cylindrifications, guard is %d"
+                          % (len(cyls), MAX_INDICES))
     for key, data in cyls.items():
         cyl[_key_index(key, len(cyls), "cylindrification key")] = \
             _load_map(L, data)
@@ -267,7 +270,7 @@ def load_frame(obj, max_elements=lat.DEFAULT_MAX_ELEMENTS):
     """{"points", "perp", "R", "D"} -> (frame, relations, diagonals);
     relations and diagonals are empty dicts when absent.  Points are
     strings or ints, at most max_elements of them.  Relations are keyed
-    0..k-1 with k <= MAX_FRAME_RELATIONS; diagonals must cover every pair
+    0..k-1 with k <= MAX_INDICES; diagonals must cover every pair
     of them, and may be left out only when k <= 1."""
     points = _need(obj, "points", list)
     n = len(points)
@@ -282,9 +285,9 @@ def load_frame(obj, max_elements=lat.DEFAULT_MAX_ELEMENTS):
     F = Orthoframe(points, _pairs_to_rows(_need(obj, "perp", list), n,
                                           "perp"))
     R = _need(obj, "R", dict) if "R" in obj else {}
-    if len(R) > MAX_FRAME_RELATIONS:
+    if len(R) > MAX_INDICES:
         raise FormatError("frame has %d relations, guard is %d"
-                          % (len(R), MAX_FRAME_RELATIONS))
+                          % (len(R), MAX_INDICES))
     rels = {}
     for key, pairs in R.items():
         rels[_key_index(key, len(R), "R key")] = \

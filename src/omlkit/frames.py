@@ -236,30 +236,14 @@ def check_weak_cylindric_frame(F: Orthoframe, rels: dict,
 
 def all_preorders(n: int):
     """All reflexive transitive relations on n points as row-mask tuples,
-    by depth-first search with transitivity pruning."""
-    rows = []
-    out = []
+    sorted: the closure of the identity under adding a pair i R j and
+    closing transitively, which reaches every preorder one pair at a time."""
+    def add(i, j):
+        return lambda R: tuple(transitive_closure(
+            [r | 1 << j if k == i else r for k, r in enumerate(R)]))
 
-    def consistent(k):
-        for a in range(k + 1):
-            for b in bits(rows[a]):
-                if b <= k and rows[b] & ~rows[a]:
-                    return False
-        return True
-
-    def rec(k):
-        if k == n:
-            out.append(tuple(rows))
-            return
-        others = [m for m in range(1 << n) if m >> k & 1]
-        for m in others:
-            rows.append(m)
-            if consistent(k):
-                rec(k + 1)
-            rows.pop()
-
-    rec(0)
-    return out
+    ops = [add(i, j) for i in range(n) for j in range(n) if i != j]
+    return sorted(close([tuple(1 << i for i in range(n))], ops)[0])
 
 
 def is_equivalence(R, n: int) -> bool:

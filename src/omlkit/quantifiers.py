@@ -156,24 +156,14 @@ class Q6Witness:
         }
 
 
-def diagram_blocks(L: FiniteOL, atom_blocks) -> list:
-    """The blocks of a loop-free pasting L of 3-atom blocks, by Greechie's
-    loop lemma: 0, 1, each atom and its complement.  Sorted as lat.blocks."""
-    at = {label: x for x, label in enumerate(L.labels)}
-    return sorted((frozenset({L.zero, L.one}).union(
-        *({at[t], L.ortho_t[at[t]]} for t in blk)) for blk in atom_blocks),
-        key=sorted)
-
-
-def find_q6_counterexample(max_blocks: int = 4, boolean_only: bool = False):
+def find_q6_counterexample(max_blocks: int = 4):
     """First OML + Boolean subalgebra + (p,q) with E(p ^ E q) = 0 while
     E p ^ E q != 0, under the deterministic diagram enumeration."""
-    for diagram in lat.enumerate_greechie_diagrams(  # only 1 block is Boolean
-            min(max_blocks, 1) if boolean_only else max_blocks):
+    for diagram in lat.enumerate_greechie_diagrams(max_blocks):
         named = [tuple("a%s" % a for a in blk) for blk in diagram]
         L = lat.greechie_lattice(named)
         M, z = L.meet_t, L.zero
-        for S in diagram_blocks(L, named):
+        for S in lat.blocks(L):
             em = quantifier_from_subalgebra(L, S).map
             # the first (p, q) with e(p ^ e q) = 0 and e p ^ e q != 0
             pq = next(((p, q) for p, ep in enumerate(em)

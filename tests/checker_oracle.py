@@ -7,7 +7,8 @@ method per element or pair and fill their status maps through a record
 closure or setdefault defaults.  The new checkers must give the same
 status maps, ok flags and witnesses, with two declared exceptions below.
 canonical_frame is the pair-by-pair version that the mask reads of
-omlkit.frames replaced; commutes comes from ol_oracle.
+omlkit.frames replaced; commutes comes from ol_oracle.  all_preorders is
+the depth-first search that the closure in omlkit.frames replaced.
 
 The two exceptions:
 
@@ -269,3 +270,31 @@ def find_q6_counterexample(max_blocks: int = 4, boolean_only: bool = False):
                         return Q6Witness(tuple(tuple(b) for b in diagram),
                                          L, S, p, q)
     return None
+
+
+def all_preorders(n: int):
+    """All reflexive transitive relations on n points as row-mask tuples,
+    by depth-first search with transitivity pruning."""
+    rows = []
+    out = []
+
+    def consistent(k):
+        for a in range(k + 1):
+            for b in bits(rows[a]):
+                if b <= k and rows[b] & ~rows[a]:
+                    return False
+        return True
+
+    def rec(k):
+        if k == n:
+            out.append(tuple(rows))
+            return
+        others = [m for m in range(1 << n) if m >> k & 1]
+        for m in others:
+            rows.append(m)
+            if consistent(k):
+                rec(k + 1)
+            rows.pop()
+
+    rec(0)
+    return out

@@ -244,12 +244,10 @@ def test_check_canonical_representation_matches_oracle():
     assert verdicts[True] and verdicts[False]
 
 
-@pytest.mark.parametrize("boolean_only, max_blocks",
-                         [(b, m) for b in (False, True) for m in range(1, 6)]
-                         + [(False, 6)])
-def test_find_q6_counterexample_matches_oracle(boolean_only, max_blocks):
-    got = qu.find_q6_counterexample(max_blocks, boolean_only)
-    want = oracle.find_q6_counterexample(max_blocks, boolean_only)
+@pytest.mark.parametrize("max_blocks", range(1, 7))
+def test_find_q6_counterexample_matches_oracle(max_blocks):
+    got = qu.find_q6_counterexample(max_blocks)
+    want = oracle.find_q6_counterexample(max_blocks, boolean_only=False)
     if want is None:
         assert got is None
     else:
@@ -258,19 +256,19 @@ def test_find_q6_counterexample_matches_oracle(boolean_only, max_blocks):
             (want.diagram, want.subalgebra, want.p, want.q)
 
 
-def test_diagram_blocks_are_the_lattice_blocks():
-    # every loop-free pasting of up to five 3-atom blocks: the blocks read
-    # off the diagram are the maximal commuting cliques, in the same order
-    for diagram in lat.enumerate_greechie_diagrams(5):
-        named = [tuple("a%s" % a for a in blk) for blk in diagram]
-        L = lat.greechie_lattice(named)
-        assert qu.diagram_blocks(L, named) == lat.blocks(L)
-
-
-def test_boolean_only_search_pastes_one_diagram(monkeypatch):
+def test_q6_search_pastes_diagrams_up_to_the_witness(monkeypatch):
+    # the witness lies on the second diagram, so the search pastes one
+    # diagram at one block and two at any larger bound
     built = []
     paste = lat.greechie_lattice
     monkeypatch.setattr(lat, "greechie_lattice",
                         lambda blocks: built.append(blocks) or paste(blocks))
-    assert qu.find_q6_counterexample(6, boolean_only=True) is None
-    assert built == [[("a0", "a1", "a2")]]
+    for m in range(1, 7):
+        built.clear()
+        qu.find_q6_counterexample(m)
+        assert len(built) == (1 if m == 1 else 2), m
+
+
+def test_all_preorders_matches_oracle():
+    for n in range(1, 6):
+        assert fr.all_preorders(n) == oracle.all_preorders(n)

@@ -1,5 +1,5 @@
-"""Malformed dims, index fields, index keys and labels, and frames and
-algebras past their size guards, are refused, never coerced: the loader raises
+"""Malformed dims, index fields, index keys and labels, and frames,
+cylindric structures and algebras past their size guards, are refused, never coerced: the loader raises
 FormatError and `omlkit check` exits 2 without a traceback."""
 
 import json
@@ -44,6 +44,16 @@ def _cylindric_map(bad):
 def _cylindric_key(bad):
     obj = _fixture("classical_cylindric_2x2.json")
     obj["cylindrifications"][bad] = obj["cylindrifications"].pop("0")
+    return obj
+
+
+def _cylindric_indices(k):
+    # k copies of the first cylindrification, with every diagonal the top
+    obj = _fixture("classical_cylindric_2x2.json")
+    m = obj["cylindrifications"]["0"]
+    obj["cylindrifications"] = {str(i): m for i in range(k)}
+    obj["diagonals"] = {"%d,%d" % (i, j): 15
+                        for i in range(k) for j in range(k)}
     return obj
 
 
@@ -139,6 +149,8 @@ CASES = {
                                     _cylindric_key("+0")),
     "cylindrification-key-padded": ("cylindric", fo.load_cylindric,
                                     _cylindric_key(" 0")),
+    "too-many-cylindrifications": ("cylindric", fo.load_cylindric,
+                                   _cylindric_indices(fo.MAX_INDICES + 1)),
     "order-pair-float": ("lattice", fo.load_lattice, _lattice_pair([0.9, 1])),
     "order-pair-string": ("lattice", fo.load_lattice, _lattice_pair(["0", 1])),
     "order-pair-bool": ("lattice", fo.load_lattice, _lattice_pair([0, True])),
@@ -165,7 +177,7 @@ CASES = {
     "frame-point-float": ("frame", fo.load_frame, _frame_point(0.0)),
     "frame-point-object": ("frame", fo.load_frame, _frame_point({"a": 1})),
     "frame-too-many-relations": ("frame", fo.load_frame,
-                                 _frame_relations(fo.MAX_FRAME_RELATIONS + 1)),
+                                 _frame_relations(fo.MAX_INDICES + 1)),
     "frame-r-key-string": ("frame", fo.load_frame, _frame_r(key="x")),
     "frame-r-key-empty-pairs": ("frame", fo.load_frame,
                                 _frame_r(key="x", pairs=[])),
@@ -282,11 +294,25 @@ def test_frame_point_bound(tmp_path):
 
 
 def test_frame_relation_bound():
-    k = fo.MAX_FRAME_RELATIONS
+    k = fo.MAX_INDICES
     assert len(fo.load_frame(_frame_relations(k))[1]) == k
     message = "frame has %d relations, guard is %d" % (k + 1, k)
     with pytest.raises(fo.FormatError, match=message):
         fo.load_frame(_frame_relations(k + 1))
+
+
+def test_cylindrification_bound(tmp_path):
+    k = fo.MAX_INDICES
+    assert fo.load_cylindric(_cylindric_indices(k)).dims == tuple(range(k))
+    with pytest.raises(fo.FormatError,
+                       match="%d cylindrifications, guard is %d" % (k + 1, k)):
+        fo.load_cylindric(_cylindric_indices(k + 1))
+    for count, code in ((k, 0), (k + 1, 2)):
+        path = tmp_path / "cylindric.json"
+        path.write_text(json.dumps(_cylindric_indices(count)))
+        res = CliRunner().invoke(main, ["--json", "-", "check", "cylindric",
+                                        str(path)])
+        assert res.exit_code == code, res.output
 
 
 def test_frame_relations_past_the_first_need_diagonals():

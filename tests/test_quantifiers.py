@@ -103,7 +103,3 @@ def test_q6_counterexample_search_is_deterministic():
     e = qu.quantifier_from_subalgebra(L, w1.subalgebra)
     assert e(L.meet(w1.p, e(w1.q))) == L.zero
     assert L.meet(e(w1.p), e(w1.q)) != L.zero
-
-
-def test_q6_search_boolean_only_exhausts():
-    assert qu.find_q6_counterexample(max_blocks=2, boolean_only=True) is None
