@@ -284,12 +284,13 @@ def close(start, unary=(), binary=(), limit=None, what="elements"):
     elems, index = [], {}
 
     def push(x):
-        if x not in index:
-            index[x] = len(elems)
+        k = index.get(x)  # one hash for an element already held
+        if k is None:
+            k = index[x] = len(elems)
             elems.append(x)
-            if limit is not None and len(elems) > limit:
+            if limit is not None and k >= limit:
                 raise SizeGuardError("closure exceeded %d %s" % (limit, what))
-        return index[x]
+        return k
 
     for x in start:
         push(x)

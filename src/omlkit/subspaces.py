@@ -51,6 +51,12 @@ class Subspace:
         return self.dim == other.dim and self.rows == other.rows
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # kept like basis, out of == and repr: closures hash each held
+        # subspace once per lookup
         return hash((self.dim, self.rows))
 
     @cached_property
@@ -246,18 +252,23 @@ class TensorLayout:
         return product(*(range(d) for d in self.factor_dims))
 
 
-def _slices(layout: TensorLayout, factors) -> tuple:
-    """The flat coordinates of the slices along `factors`: one tuple for
-    each standard basis tuple ft of those factors, in product order, giving
-    the coordinate of (ft, rt) for each tuple rt of the other factors, in
-    product order and so increasing.  Kept per layout and factor set.
-    Raises ValueError unless every factor is an int in range(layout.n)."""
+def _factor_set(layout: TensorLayout, factors) -> frozenset:
+    """factors, an int or a collection of ints, as a frozenset.  Raises
+    ValueError unless every factor is an int in range(layout.n)."""
     if isinstance(factors, int):
         factors = (factors,)
     if not all(type(f) is int and 0 <= f < layout.n for f in factors):
         raise ValueError("factors must be ints in range(%d), got %r"
                          % (layout.n, factors))
-    return _slice_table(layout, frozenset(factors))
+    return frozenset(factors)
+
+
+def _slices(layout: TensorLayout, factors) -> tuple:
+    """The flat coordinates of the slices along `factors`: one tuple for
+    each standard basis tuple ft of those factors, in product order, giving
+    the coordinate of (ft, rt) for each tuple rt of the other factors, in
+    product order and so increasing.  Kept per layout and factor set."""
+    return _slice_table(layout, _factor_set(layout, factors))
 
 
 @lru_cache(maxsize=64)
@@ -277,21 +288,27 @@ def component_span(layout: TensorLayout, factors, s: Subspace) -> Subspace:
     basis of the factors in `factors`; lives in the complementary space."""
     if s.dim != layout.dim:
         raise ValueError("subspace does not live in this layout")
-    slices = _slices(layout, factors)
+    return _span(_slices(layout, factors), s)
+
+
+def _span(slices, s: Subspace) -> Subspace:
     comps = [(tuple(re[k] for k in sl), tuple(im[k] for k in sl))
              for re, im in s.rows for sl in slices]
     return _from_echelon(len(slices[0]), la.echelon(comps))
 
 
 def embed_alpha(layout: TensorLayout, factors, b: Subspace) -> Subspace:
-    """The full space on `factors` tensored with b, placed per layout.
-
-    Each row of b placed in each slice: the slices have disjoint supports
-    and increasing coordinates, so once sorted by pivot these rows are
-    already the canonical echelon form, and no elimination is needed."""
+    """The full space on `factors` tensored with b, placed per layout."""
     slices = _slices(layout, factors)
     if b.dim != len(slices[0]):
         raise ValueError("subspace does not live in the complementary space")
+    return _embed(layout, slices, b)
+
+
+def _embed(layout: TensorLayout, slices, b: Subspace) -> Subspace:
+    """Each row of b placed in each slice: the slices have disjoint supports
+    and increasing coordinates, so once sorted by pivot these rows are
+    already the canonical echelon form, and no elimination is needed."""
     placed = []
     for sl in slices:
         for (re, im), c in zip(b.rows, b.pivots):
@@ -304,22 +321,57 @@ def embed_alpha(layout: TensorLayout, factors, b: Subspace) -> Subspace:
                                       tuple(c for c, _ in placed)))
 
 
+# A prime P = 1 (mod 4) and a square root I_P of -1 mod P.  a + b i maps
+# to a + b I_P mod P, a ring map from the Gaussian integers onto GF(P), so
+# a nonzero minor mod P is a nonzero minor over Q(i): a rank mod P is at
+# most the rank over Q(i)
+P, I_P = 998244353, 911660635
+
+
+def _full_mod_p(slices, rows) -> bool:
+    """Whether the slice components of rows span the whole slice space,
+    certified by their rank mod P; False says nothing."""
+    m = len(slices[0])
+    basis = {}  # pivot column -> reduced row mod P, 1 at its pivot
+    for re, im in rows:
+        v = [(x + I_P * y) % P for x, y in zip(re, im)]
+        for sl in slices:
+            w = [v[k] for k in sl]
+            # each row is 0 at the pivots found before it, so reducing in
+            # insertion order clears every pivot
+            for c, b in basis.items():
+                f = w[c]
+                if f:
+                    w = [(x - f * y) % P for x, y in zip(w, b)]
+            c = next((c for c, x in enumerate(w) if x), None)
+            if c is not None:
+                inv = pow(w[c], -1, P)
+                basis[c] = [x * inv % P for x in w]
+                if len(basis) == m:
+                    return True
+    return False
+
+
 def exists_factor(layout: TensorLayout, factors, s: Subspace) -> Subspace:
     """Least subspace of the form (full on factors) x T above s.
 
     (full on factors) x T has rank d * rank T, d the dimension on
     `factors`, so rank T >= ceil(rank s / d): when d times that bound is the
-    whole dimension, the answer is the full space without elimination."""
-    d = len(_slices(layout, factors))  # checks factors before the shortcuts
-    if s.dim == layout.dim:
-        if s.rank in (0, s.dim):
-            return s
-        if -(-s.rank // d) * d == s.dim:
-            return Subspace.full(s.dim)
-    b = component_span(layout, factors, s)
+    whole dimension, the answer is the full space without elimination.  So
+    it is when the components of s span the slice space mod P; any other
+    case eliminates over Q(i)."""
+    slices = _slices(layout, factors)
+    if s.dim != layout.dim:
+        raise ValueError("subspace does not live in this layout")
+    d = len(slices)
+    if s.rank in (0, s.dim):
+        return s
+    if -(-s.rank // d) * d == s.dim or _full_mod_p(slices, s.rows):
+        return Subspace.full(s.dim)
+    b = _span(slices, s)
     if b.rank == b.dim:
         return Subspace.full(layout.dim)
-    return embed_alpha(layout, factors, b)
+    return _embed(layout, slices, b)
 
 
 def forall_factor(layout: TensorLayout, factors, s: Subspace) -> Subspace:
@@ -344,17 +396,22 @@ def check_commutation(layout: TensorLayout, i: int, j: int, s: Subspace) -> bool
 
 def diagonal(layout: TensorLayout, factors) -> Subspace:
     """Subspace of tensors whose coordinates are invariant under permuting
-    the positions in `factors` (all of equal dimension)."""
-    _slices(layout, factors)  # checks factors
-    fs = sorted({factors} if isinstance(factors, int) else set(factors))
-    dims = {layout.factor_dims[k] for k in fs}
-    if len(dims) != 1:
+    the positions in `factors` (all of equal dimension).  One object per
+    layout and factor set."""
+    fs = _factor_set(layout, factors)
+    if len({layout.factor_dims[k] for k in fs}) != 1:
         raise ValueError("diagonal factors must have equal dimensions")
+    return _diagonal(layout, fs)
+
+
+@lru_cache(maxsize=64)
+def _diagonal(layout: TensorLayout, fs: frozenset) -> Subspace:
     if len(fs) <= 1:
         return Subspace.full(layout.dim)
     # an orbit under permuting the positions in fs is the set of tuples
     # with the same sorted values there and the same values elsewhere; the
     # tuples come in row-major order, so tuple k has coordinate k
+    fs = sorted(fs)
     rest = [k for k in range(layout.n) if k not in fs]
     orbits = {}
     for k, idx in enumerate(layout.tuples()):

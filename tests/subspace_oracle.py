@@ -13,6 +13,10 @@ omlkit Subspaces: the universal factor quantifier by its membership
 characterization, and the rank of a diagonal in closed form.  diagonal
 and _orbit are the diagonal as first written, which enumerates the
 permutations of each tuple's values to find its orbit.
+
+exists_factor_eliminating is omlkit's exists_factor before full answers
+were certified mod p: past the zero, full and rank-bound cases it always
+takes the component span by elimination.
 """
 
 from __future__ import annotations
@@ -115,6 +119,25 @@ def embed_alpha(layout, factors, b: OSub) -> OSub:
 
 def exists_factor(layout, factors, s: OSub) -> OSub:
     return embed_alpha(layout, factors, component_span(layout, factors, s))
+
+
+def exists_factor_eliminating(layout: TensorLayout, factors,
+                              s: Subspace) -> Subspace:
+    """Least subspace of the form (full on factors) x T above s.
+
+    (full on factors) x T has rank d * rank T, d the dimension on
+    `factors`, so rank T >= ceil(rank s / d): when d times that bound is the
+    whole dimension, the answer is the full space without elimination."""
+    d = len(sp._slices(layout, factors))  # checks factors before the shortcuts
+    if s.dim == layout.dim:
+        if s.rank in (0, s.dim):
+            return s
+        if -(-s.rank // d) * d == s.dim:
+            return Subspace.full(s.dim)
+    b = sp.component_span(layout, factors, s)
+    if b.rank == b.dim:
+        return Subspace.full(layout.dim)
+    return sp.embed_alpha(layout, factors, b)
 
 
 def forall_factor_direct(layout, factors, s: sp.Subspace) -> sp.Subspace:

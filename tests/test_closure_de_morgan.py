@@ -71,6 +71,23 @@ def _closure_or_guard(build, gens):
         return str(exc)
 
 
+def _count_certificates(monkeypatch):
+    """Clear the kept diagonals, so every count starts from none, and count
+    the quantifier answers certified full mod p; returns the count list."""
+    sp._diagonal.cache_clear()
+    certified = []
+    real = sp._full_mod_p
+
+    def counting(slices, rows):
+        full = real(slices, rows)
+        if full:
+            certified.append(rows)
+        return full
+
+    monkeypatch.setattr(sp, "_full_mod_p", counting)
+    return certified
+
+
 def _tables(C):
     L = C.base
     return (L.labels, L.meet_t, L.join_t, L.ortho_t, L.zero, L.one, C.dims,
@@ -109,17 +126,21 @@ def test_meet_table_is_the_meet_of_subspaces(name):
             assert C.base.meet_t[a][b] == index[sp.meet(x, y)]
 
 
-def test_tensor33_closure_rebuilds_fixture_byte_for_byte():
+def test_tensor33_closure_rebuilds_fixture_byte_for_byte(monkeypatch):
     layout = TensorLayout((3, 3))
     line = _c5_line(layout)
+    certified = _count_certificates(monkeypatch)
     la.reset_counts()
     C, subs = sp.as_cylindric_structure(layout, [line])
     assert len(subs) == 96
     # work pinned so an algorithmic regression fails without a timing check;
-    # joins of comparable operands or with a hyperplane, and quantifiers
-    # whose rank bound gives the full space, take no elimination (without
-    # them 4605 calls on 41947 rows)
-    assert la.counts == {"echelon_calls": 3518, "echelon_rows": 31351}
+    # joins of comparable operands or with a hyperplane, quantifiers whose
+    # rank bound gives the full space and quantifiers certified full mod p
+    # take no elimination, and the two equal diagonals are built once
+    # (without the rank bound and the order 4605 calls on 41947 rows; then
+    # 3518 on 31351 without the certificate and the kept diagonal)
+    assert la.counts == {"echelon_calls": 3387, "echelon_rows": 29611}
+    assert len(certified) == 130
     text = json.dumps(fo.dump_cylindric(C), sort_keys=True)
     assert text == (FIXTURES / "tensor33_cylindric.json").read_text()
 
@@ -144,26 +165,34 @@ def test_closure_work_counters(monkeypatch):
     line = _c5_line(LAYOUT)
     monkeypatch.setattr(la, "kernel", counting_kernel)
     monkeypatch.setattr(sp, "meet", no_meet)
+    certified = _count_certificates(monkeypatch)
     la.reset_counts()
     C, subs = sp.as_cylindric_structure(LAYOUT, [line])
     assert len(subs) == 8
     assert len(kernel_calls) == 3
-    assert la.counts == {"echelon_calls": 16, "echelon_rows": 44}
+    # every quantifier answer past the rank bound is certified full mod p,
+    # and the one diagonal is built once: 16 calls on 44 rows without them
+    assert la.counts == {"echelon_calls": 7, "echelon_rows": 17}
+    assert len(certified) == 8
 
 
-def test_seeded_closure_work_counters():
+def test_seeded_closure_work_counters(monkeypatch):
     # join(a, a), join(a, ortho a) and the quantifiers of 0, 1 or a
     # subspace with a full component span take no elimination; with them
     # eliminated as well the 12 closures made 2648 calls on 10800 rows.
     # Joins decided by order (lo <= hi, or a hyperplane hi) and quantifiers
     # whose rank bound gives the full space take none either; with those
-    # eliminated the closures made 2363 calls on 9644 rows.
+    # eliminated the closures made 2363 calls on 9644 rows.  Quantifiers
+    # certified full mod p take none, and the diagonal is built once for
+    # all 12 closures: without them 973 calls on 2864 rows.
     # Fresh generators: the shared ones carry ortho links from other tests
     gens = [s for _, s in _seeded_subspaces()]
+    certified = _count_certificates(monkeypatch)
     la.reset_counts()
     for s in gens:
         _closure_or_guard(sp.as_cylindric_structure, [s])
-    assert la.counts == {"echelon_calls": 973, "echelon_rows": 2864}
+    assert la.counts == {"echelon_calls": 760, "echelon_rows": 2260}
+    assert len(certified) == 179
 
 
 @pytest.mark.parametrize("factor_dims", [(2, 2), (3, 3)])
