@@ -128,8 +128,9 @@ def diagonal_algebra(n: int) -> StarAlgebra:
 
 
 def projector_onto(sub: Subspace):
-    """Orthogonal projection with the given range: B (B*B)^{-1} B* for a
-    column basis B, kept on sub as an integer matrix over an integer."""
+    """Orthogonal projection with the given range, kept on sub as an
+    integer matrix over an integer: I - w w*/|w|^2 on a hyperplane with
+    normal w, else from the inverse Gram matrix of sub's rows."""
     M, L = sub._projector
     return tuple(la.gq_vector(m, L) for m in M)
 

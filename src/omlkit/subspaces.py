@@ -107,11 +107,19 @@ class Subspace:
     @cached_property
     def _projector(self) -> tuple:
         """(M, L): the orthogonal projection onto this subspace is M / L,
-        M a Gaussian-integer matrix of rows (re, im).  M[a][b] is C_a .
-        H conj(C_b) for the columns C of the rows R, where H / L is the
-        inverse of the Gram matrix G[j][l] = conj(R_j) . R_l, read off one
-        echelon form of [G | I].  Kept like basis, out of ==."""
+        M a Gaussian-integer matrix of rows (re, im).  On a hyperplane with
+        normal w = ortho(self), M = |w|^2 I - w w* and L = |w|^2.  Else
+        M[a][b] is C_a . H conj(C_b) for the columns C of the rows R, with
+        H / L the inverse of the Gram matrix G[j][l] = conj(R_j) . R_l from
+        one echelon form of [G | I].  Kept like basis, out of ==."""
         k, rows = self.rank, self.rows
+        if k == self.dim - 1 > 0:
+            w = list(zip(*ortho(self).rows[0]))
+            L = sum(x * x + y * y for x, y in w)
+            return tuple(([L * (a == b) - x * u - y * v
+                           for b, (u, v) in enumerate(w)],
+                          [x * v - y * u for u, v in w])
+                         for a, (x, y) in enumerate(w)), L
         gram = [la.int_matvec(rows, (a, [-y for y in b])) for a, b in rows]
         red, _ = la.echelon([(re + [int(i == j) for j in range(k)],
                               im + [0] * k)

@@ -14,7 +14,7 @@ import pickle
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import algebra_path_oracle as oracle
 import omlkit.linalg as la
@@ -124,6 +124,29 @@ def test_projector_matches_oracle(case):
     assert repr(P) == repr(oracle.projector_onto(a))
     assert a.project(v) == la.matvec(P, v)
     assert a.project(inside) == inside
+
+
+@st.composite
+def hyperplane_and_vector(draw):
+    """A hyperplane of GQ^d, d from 1 to 9, spanned by d - 1 independent
+    random rows (the zero subspace at d = 1, a line at d = 2), and a random
+    vector."""
+    d = draw(st.integers(1, 9))
+    row = st.tuples(*[scalars] * d)
+    s = Subspace(d, draw(st.lists(row, min_size=d - 1, max_size=d - 1)))
+    assume(s.rank == d - 1)
+    return s, draw(row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hyperplane_and_vector())
+def test_hyperplane_projector_matches_oracle(case):
+    # the projector of a hyperplane is read off its normal, with no Gram
+    # inverse; the oracle inverts the Gram matrix of the basis
+    s, v = case
+    P, Q = ma.projector_onto(s), oracle.projector_onto(s)
+    assert P == Q and repr(P) == repr(Q)
+    assert s.project(v) == la.matvec(Q, v)
 
 
 def test_projector_of_the_zero_and_full_spaces():

@@ -18,7 +18,7 @@ import star_algebra_oracle as oracle
 from algebra_path_oracle import random_projection_in
 from omlkit.gq import GQ, ONE, ZERO
 from omlkit.matrixalg import StarAlgebra
-from omlkit.subspaces import Subspace, meet
+from omlkit.subspaces import Subspace, meet, ortho
 
 
 def conditional_expectation_oracle(N, x):
@@ -151,15 +151,31 @@ def test_gram_inverse_is_computed_once():
 def test_exists_work_counters():
     # the commutant (its equations, then their kernel: 42 rows) on the
     # first call only; then the range of p (3 column rows), one product
-    # step under the 2-dimensional commutant (2 rows) and the projector's
-    # [G | I] (2 rows)
+    # step under the 2-dimensional commutant (2 rows) and, since the
+    # answer is a hyperplane, the one-row kernel of its normal, from which
+    # the projector is read with no [G | I]
     A, p = _two_projection_algebra()
     la.reset_counts()
     first = ma.exists_alg(A, p)
-    assert la.counts == {"echelon_calls": 5, "echelon_rows": 49}
+    assert la.counts == {"echelon_calls": 5, "echelon_rows": 48}
     la.reset_counts()
     assert ma.exists_alg(A, p) == first
-    assert la.counts == {"echelon_calls": 3, "echelon_rows": 7}
+    assert la.counts == {"echelon_calls": 3, "echelon_rows": 6}
+
+
+def test_hyperplane_projector_work_counters():
+    # a hyperplane's projector is |w|^2 I - w w* over |w|^2 for its normal
+    # w: one echelon form, of the one kernel row in ortho, which stays
+    # linked for later calls
+    s = Subspace(4, [(1, 2, 0, GQ(0, 1)), (0, 1, 1, 0),
+                     (3, 0, GQ(1, -1), 1)])
+    la.reset_counts()
+    ma.projector_onto(s)
+    assert la.counts == {"echelon_calls": 1, "echelon_rows": 1}
+    assert s._ortho._ortho is s and s._ortho.rank == 1
+    la.reset_counts()
+    ortho(s)
+    assert la.counts == {"echelon_calls": 0, "echelon_rows": 0}
 
 
 def test_support_check_work_counters():
