@@ -39,10 +39,11 @@ def check_cylindric(C: CylindricStructure, mode: str = "weak") -> CheckReport:
     L, dims, d = C.base, C.dims, C.diagonals
     M, o, z = L.meet_t, L.ortho_t, L.zero
     c = {i: C.cylindrifications[i].map for i in dims}
-    reps = [(i, check_quantifier(L, C.cylindrifications[i])) for i in dims]
+    reps = [(i, check_quantifier(L, C.cylindrifications[i]).status)
+            for i in dims]
     found = {
-        "C1": next(((i, a, rep.witness(a)) for i, rep in reps
-                    for a in AXIOMS[:5] if not rep.ok(a)), None),
+        "C1": next(((i, a, w) for i, status in reps for a in AXIOMS[:5]
+                    for ok, w in (status[a],) if not ok), None),
         # c_i c_j x == c_j c_i x
         "C2": next(((i, j, x) for i in dims for j in dims if i < j
                     for x, (cjx, cix) in enumerate(zip(c[j], c[i]))

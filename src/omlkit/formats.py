@@ -33,13 +33,20 @@ MAX_INDICES = 8
 # at most dim*dim <= MAX_AMBIENT_DIM generators of an algebra are independent
 MAX_ALGEBRA_GENERATORS = MAX_AMBIENT_DIM
 
+# bytes read from one input file.  Without repeated entries every file within
+# the default guards fits, the largest a 512-point frame with full relations
+# (27.5 MB); a full leq (3.0 MB at 512) fits up to --max-size 1,700
+MAX_INPUT_BYTES = 1 << 25
+
 
 def read_input(path) -> tuple:
     """(UTF-8 text, SHA-256 hex digest) of the file at path; FormatError
-    worded as an OSError, UnicodeDecodeError or NUL-in-path ValueError."""
+    past MAX_INPUT_BYTES and on an OSError or ValueError (bad UTF-8, NUL)."""
     try:
         with open(path, "rb") as fh:  # the path as given names the error
-            data = fh.read()
+            data = fh.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise ValueError("%s is over %d bytes" % (path, MAX_INPUT_BYTES))
         return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
     except (OSError, ValueError) as exc:
         raise FormatError(str(exc)) from exc
@@ -104,6 +111,13 @@ def _list(value, what):
     return value
 
 
+def _need_diagonals(indices, table):
+    """FormatError unless table has a diagonal for every pair of indices."""
+    for ij in ((i, j) for i in indices for j in indices):
+        if ij not in table:
+            raise FormatError("missing diagonal %d,%d" % ij)
+
+
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -158,10 +172,7 @@ def parse_greechie(text: str):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        atoms = tuple(line.split())
-        if len(set(atoms)) != len(atoms):
-            raise FormatError("repeated atom in block %r" % (atoms,))
-        blocks.append(atoms)
+        blocks.append(tuple(line.split()))
     if not blocks:
         raise FormatError("no blocks given")
     return blocks
@@ -227,10 +238,7 @@ def load_cylindric(obj, base_dir=None,
     for key, val in _need(obj, "diagonals", dict).items():
         diag[_key_pair(key, len(cyls), "diagonal")] = \
             _index(val, L.n, "diagonal %r" % key)
-    for i in dims:
-        for j in dims:
-            if (i, j) not in diag:
-                raise FormatError("missing diagonal %d,%d" % (i, j))
+    _need_diagonals(dims, diag)
     return CylindricStructure(L, dims, cyl, diag)
 
 
@@ -300,10 +308,7 @@ def load_frame(obj, max_elements=lat.DEFAULT_MAX_ELEMENTS):
             m |= 1 << _index(p, n, "diagonal point")
         diags[_key_pair(key, len(R), "D")] = m
     if diags or len(rels) > 1:
-        for i in rels:
-            for j in rels:
-                if (i, j) not in diags:
-                    raise FormatError("missing diagonal %d,%d" % (i, j))
+        _need_diagonals(rels, diags)
     return F, rels, diags
 
 

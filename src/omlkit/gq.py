@@ -7,7 +7,23 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm
+
+
+def _operand(op):
+    """The GQ method op, given its other operand as a GQ: an int (not a
+    bool) or a Fraction is converted, and any other value gets
+    NotImplemented, so no other value is silently coerced."""
+    @wraps(op)
+    def method(self, other):
+        if not isinstance(other, GQ):
+            if isinstance(other, bool) or \
+                    not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GQ(other)
+        return op(self, other)
+    return method
 
 
 class GQ:
@@ -42,49 +58,31 @@ class GQ:
 
     # -- arithmetic -------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> "GQ":
-        if isinstance(x, GQ):
-            return x
-        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            return GQ(x)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __add__(self, o):
         d, e = self._d, o._d
         return _gq(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __sub__(self, o):
         d, e = self._d, o._d
         return _gq(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
-    def __rsub__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __rsub__(self, o):
         return o - self
 
-    def __mul__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __mul__(self, o):
         a, b, c, e = self._a, self._b, o._a, o._b
         return _gq(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __truediv__(self, o):
         a, b, c, e = self._a, self._b, o._a, o._b
         n2 = c * c + e * e
         if n2 == 0:
@@ -93,10 +91,8 @@ class GQ:
         return _gq((a * c + b * e) * o._d, (b * c - a * e) * o._d,
                    self._d * n2)
 
-    def __rtruediv__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __rtruediv__(self, o):
         return o / self
 
     def __neg__(self):
@@ -107,10 +103,8 @@ class GQ:
 
     # -- comparisons ------------------------------------------------------
 
-    def __eq__(self, other):
-        o = GQ._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __eq__(self, o):
         return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):

@@ -248,9 +248,6 @@ class PSDResult:
     is_psd: bool
     witness: tuple | None = None  # vector v with (v* a v) negative
 
-    def __bool__(self):
-        return self.is_psd
-
 
 def psd_certificate(a) -> PSDResult:
     """Exact positive-semidefiniteness by Hermitian congruence reduction;

@@ -44,9 +44,6 @@ class QuantifierReport:
     def ok(self, axiom: str) -> bool:
         return self.status[axiom][0]
 
-    def witness(self, axiom: str):
-        return self.status[axiom][1]
-
 
 @dataclass
 class CheckReport:

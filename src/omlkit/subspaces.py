@@ -41,9 +41,8 @@ class Subspace:
     _ortho = None
 
     def __init__(self, dim: int, vectors):
-        rows, pivots = la.echelon([la.int_row(_check_length(dim, v))
-                                   for v in vectors])
-        self.__dict__.update(dim=dim, rows=rows, pivots=pivots)
+        _fill(self, dim, *la.echelon([la.int_row(_check_length(dim, v))
+                                      for v in vectors]))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -52,12 +51,6 @@ class Subspace:
 
     def __hash__(self):
         return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # kept like basis, out of == and repr: closures hash each held
-        # subspace once per lookup
-        return hash((self.dim, self.rows))
 
     @cached_property
     def basis(self) -> tuple:
@@ -143,9 +136,14 @@ def _check_length(dim: int, v) -> tuple:
 def _from_echelon(dim: int, echelon_form) -> Subspace:
     """The Subspace with the given canonical (rows, pivots), taken as they
     are, without elimination."""
-    s = object.__new__(Subspace)
-    rows, pivots = echelon_form
-    s.__dict__.update(dim=dim, rows=rows, pivots=pivots)
+    return _fill(object.__new__(Subspace), dim, *echelon_form)
+
+
+def _fill(s: Subspace, dim: int, rows, pivots) -> Subspace:
+    # the hash is kept at construction, out of == and repr like basis:
+    # closures hash each held subspace once per lookup
+    s.__dict__.update(dim=dim, rows=rows, pivots=pivots,
+                      _hash=hash((dim, rows)))
     return s
 
 

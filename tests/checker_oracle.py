@@ -49,7 +49,7 @@ def check_cylindric(C: CylindricStructure, mode: str = "weak") -> CheckReport:
         if not rep.is_quantifier:
             bad = next(a for a in ("Q1", "Q2", "Q3", "Q4", "Q5")
                        if not rep.ok(a))
-            record("C1", False, (i, bad, rep.witness(bad)))
+            record("C1", False, (i, bad, rep.status[bad][1]))
     st.setdefault("C1", (True, None))
 
     for i in C.dims:

@@ -6,7 +6,9 @@ Each crash input is run through the CLI with `--json -`: nesting deeper
 than the JSON decoder recurses (RecursionError), a byte that is not
 UTF-8 (UnicodeDecodeError), an int with more digits than int() converts
 (ValueError), inline or in the "lattice" file a quantifier names, and a
-NUL in that file's name (ValueError from open)."""
+NUL in that file's name (ValueError from open).  A file, or a named
+lattice file, longer than formats.MAX_INPUT_BYTES is refused after that
+many bytes and one more are read, so an endless file ends too."""
 
 import json
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import omlkit.formats as fo
 from omlkit.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -141,3 +144,53 @@ def test_broken_lattice_file_refusal_text(tmp_path, text, reason):
     rep = _refused(_run("check", "quantifier", tmp_path / "q.json"))
     assert rep["error"] == "cannot read lattice file %s: %s" \
         % (lattice, reason.format(path=lattice))
+
+
+# ---------------------------------------------------------------------------
+# the input bound, made small
+
+
+@pytest.fixture
+def bound(monkeypatch):
+    """A bound a little above the mo2 lattice file, so it fits."""
+    size = len(_fixture("mo2_lattice.json").encode()) + 10
+    monkeypatch.setattr(fo, "MAX_INPUT_BYTES", size)
+    return size
+
+
+def _lattice_of(tmp_path, size):
+    """The mo2 lattice file padded with trailing spaces to size bytes."""
+    text = _fixture("mo2_lattice.json")
+    path = tmp_path / "lattice.json"
+    path.write_text(text + " " * (size - len(text.encode())))
+    assert path.stat().st_size == size
+    return path
+
+
+def test_file_at_the_bound_loads(tmp_path, bound):
+    res = _run("check", "lattice", _lattice_of(tmp_path, bound))
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("command", ["check lattice", "convert"])
+def test_file_past_the_bound_is_refused(tmp_path, bound, command):
+    path = _lattice_of(tmp_path, bound + 1)
+    rep = _refused(_run(*command.split(), path))
+    assert rep["error"] == "%s is over %d bytes" % (path, bound)
+    assert "input_sha256" not in rep
+
+
+def test_named_lattice_file_past_the_bound_is_refused(tmp_path, bound):
+    path = _lattice_of(tmp_path, bound + 1)
+    (tmp_path / "q.json").write_text(json.dumps(
+        {"lattice": "lattice.json", "map": [0]}))
+    rep = _refused(_run("check", "quantifier", tmp_path / "q.json"))
+    assert rep["error"] == "cannot read lattice file %s: %s is over %d " \
+        "bytes" % (path, path, bound)
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+@pytest.mark.parametrize("command", ["check lattice", "convert"])
+def test_endless_file_is_refused(bound, command):
+    rep = _refused(_run(*command.split(), "/dev/zero"))
+    assert rep["error"] == "/dev/zero is over %d bytes" % bound

@@ -61,7 +61,7 @@ def test_greechie_text_parsing():
     L = fo.greechie_to_lattice("a b c\nc d e\n")
     assert L.n == 12
     with pytest.raises(fo.FormatError):
-        fo.parse_greechie("a a b\n")
+        fo.greechie_to_lattice("a a b\n")
     with pytest.raises(fo.FormatError):
         fo.parse_greechie("# nothing\n")
 

@@ -1,3 +1,4 @@
+import operator
 import pickle
 from fractions import Fraction
 
@@ -138,12 +139,26 @@ def test_constructor_refuses_inexact_or_non_numeric_parts(re, im):
         GQ(re, im)
 
 
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@pytest.mark.parametrize("other", [3, -2, Fraction(-5, 7)], ids=str)
+def test_mixed_arithmetic_converts_ints_and_fractions(other):
+    x = GQ(Fraction(1, 2), -3)
+    for op in OPERATORS:
+        assert op(x, other) == op(x, GQ(other))
+        assert op(other, x) == op(GQ(other), x)
+    assert x + other == other + x and (GQ(other) == other) is True
+
+
 def test_mixed_arithmetic_refuses_floats_and_bools():
     for bad in (0.5, True, "1"):
-        with pytest.raises(TypeError):
-            ONE + bad
-        with pytest.raises(TypeError):
-            bad * ONE
+        for op in OPERATORS:
+            with pytest.raises(TypeError):
+                op(ONE, bad)
+            with pytest.raises(TypeError):
+                op(bad, ONE)
+        assert (ONE == bad) is False and (bad == ONE) is False
         assert ONE != bad
     with pytest.raises(TypeError):
         la.mat([[0.5]])

@@ -5,6 +5,8 @@ A module reads input when it calls json.load or json.loads (also when
 imported from json), read_text, read_bytes or decode, or opens a file for
 reading: an open() or x.open() whose mode is not a constant that writes
 ("w", "a" or "x", without "+").  Writing the --json report stays allowed.
+Inside formats.py only read_input opens a file for reading, and only it
+and parse_json decode.
 """
 
 import ast
@@ -64,6 +66,21 @@ def test_formats_is_where_input_is_read():
     # the rule sees the boundary's own reads, so it is not vacuous there
     whats = {what for _, what in input_reads((SRC / BOUNDARY).read_text())}
     assert {"json.loads", "decode", "open for reading"} <= whats
+
+
+def test_files_are_read_only_by_read_input():
+    # inside formats.py a file is opened for reading by read_input alone,
+    # and there is no read_text, read_bytes or json.load, so every input
+    # byte passes read_input's bound
+    source = (SRC / BOUNDARY).read_text()
+    where = {}
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef):
+            for _, what in input_reads(ast.get_source_segment(source, fn)):
+                where.setdefault(what, []).append(fn.name)
+    assert where == {"open for reading": ["read_input"],
+                     "decode": ["read_input"], "json.loads": ["parse_json"]}
+    assert len(input_reads(source)) == 3  # none outside a function
 
 
 def test_rule_flags_reads_and_allows_writes():

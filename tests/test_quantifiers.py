@@ -30,7 +30,7 @@ def test_axiom_witnesses():
     # constant-one map breaks Q1
     e = qu.UnaryMap(L, tuple(L.one for _ in L.elements()))
     rep = qu.check_quantifier(L, e)
-    assert not rep.ok("Q1") and rep.witness("Q1") == (L.zero,)
+    assert not rep.ok("Q1") and rep.status["Q1"][1] == (L.zero,)
     # map sending everything to zero breaks Q2
     e = qu.UnaryMap(L, tuple(L.zero for _ in L.elements()))
     rep = qu.check_quantifier(L, e)

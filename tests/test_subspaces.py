@@ -59,6 +59,12 @@ def test_layout_guard():
         TensorLayout((4, 4, 4, 4, 4))
 
 
+@pytest.mark.parametrize("dims", [(), (0,), (2, 0), (-1, 2)], ids=str)
+def test_layout_refuses_a_factor_below_one(dims):
+    with pytest.raises(ValueError, match="factor dimensions must be positive"):
+        TensorLayout(dims)
+
+
 def test_exists_is_closure_operator():
     lay = TensorLayout((2, 2, 2))
     rng = random.Random(2)
