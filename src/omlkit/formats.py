@@ -9,7 +9,9 @@ read nowhere else: read_input reads files, and parse_json decodes JSON.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 from pathlib import Path
 
 from . import lattice as lat
@@ -43,7 +45,11 @@ def read_input(path) -> tuple:
     """(UTF-8 text, SHA-256 hex digest) of the file at path; FormatError
     past MAX_INPUT_BYTES and on an OSError or ValueError (bad UTF-8, NUL)."""
     try:
-        with open(path, "rb") as fh:  # the path as given names the error
+        # O_NONBLOCK opens a FIFO with no writer at once, and the blocking
+        # reads then find it empty; the path as given names an error
+        with io.BufferedReader(io.FileIO(path, opener=lambda p, flags: os.open(
+                p, flags | os.O_NONBLOCK))) as fh:
+            os.set_blocking(fh.fileno(), True)
             data = fh.read(MAX_INPUT_BYTES + 1)
         if len(data) > MAX_INPUT_BYTES:
             raise ValueError("%s is over %d bytes" % (path, MAX_INPUT_BYTES))

@@ -213,9 +213,9 @@ def check_weak_cylindric_frame(F: Orthoframe, rels: dict,
     pairs; W3: diagonals symmetric, closed, full on the diagonal pair;
     W4: R_j[D_ij n D_jk] = D_ik for j distinct from i, k."""
     idxs, d = sorted(rels), diags
-    failed = {i: check_monadic_frame(F, rels[i]).failed() for i in idxs}
     return first_failure_report(CheckReport, {
-        "W1": next(((i, f) for i, f in failed.items() if f), None),
+        "W1": next(((i, f) for i in idxs for f in
+                    (check_monadic_frame(F, rels[i]).failed(),) if f), None),
         "W2": next(((i, j) for i in idxs for j in idxs if i < j
                     and not relations_commute(rels[i], rels[j], F.n)), None),
         # an asymmetric or unclosed (i, j) with j < i was met first as

@@ -30,16 +30,13 @@ class UnaryMap:
         return self.map[x]
 
 
-AXIOMS = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6")
-
-
 @dataclass
 class QuantifierReport:
     status: dict  # axiom -> (ok, witness or None)
 
     @property
     def is_quantifier(self) -> bool:
-        return all(self.status[a][0] for a in ("Q1", "Q2", "Q3", "Q4", "Q5"))
+        return all(ok for a, (ok, _) in self.status.items() if a != "Q6")
 
     def ok(self, axiom: str) -> bool:
         return self.status[axiom][0]
@@ -64,9 +61,10 @@ def first_failure_report(report, found: dict):
     return report({name: (w is None, w) for name, w in found.items()})
 
 
-def check_quantifier(L: FiniteOL, e: UnaryMap) -> QuantifierReport:
-    """Exhaustive evaluation of Q1-Q6 with witnesses for failures: the
-    first p, and for Q3 and Q6 the first q, in element order."""
+def quantifier_laws(L: FiniteOL, e: UnaryMap):
+    """Q1-Q6 in order as (law, first failing witness or None): the first p,
+    and for Q3 and Q6 the first q, in element order.  Q1-Q5 make a
+    quantifier; Q6, Halmos's extra law, is evaluated only if read."""
     if len(e.map) != L.n:
         raise ValueError("map is not total on the lattice")
     em, M, J, o = e.map, L.meet_t, L.join_t, L.ortho_t
@@ -81,19 +79,21 @@ def check_quantifier(L: FiniteOL, e: UnaryMap) -> QuantifierReport:
                 return p, next(q for q, a in enumerate(lhs) if a != rhs[q])
         return None
 
-    found = {
-        "Q1": (L.zero,) if em[L.zero] != L.zero else None,
-        "Q2": first(M[p][x] != p for p, x in enumerate(em)),
-        # e(p v q) == e p v e q
-        "Q3": first_pair(([em[y] for y in jp], [jep[y] for y in em])
-                         for jp, jep in zip(J, (J[x] for x in em))),
-        "Q4": first(em[x] != x for x in em),
-        "Q5": first(em[o[x]] != o[x] for x in em),
-        # e(p ^ e q) == e p ^ e q
-        "Q6": first_pair(([em[mp[y]] for y in em], [mep[y] for y in em])
-                         for mp, mep in zip(M, (M[x] for x in em))),
-    }
-    return first_failure_report(QuantifierReport, found)
+    yield "Q1", (L.zero,) if em[L.zero] != L.zero else None
+    yield "Q2", first(M[p][x] != p for p, x in enumerate(em))
+    # e(p v q) == e p v e q
+    yield "Q3", first_pair(([em[y] for y in jp], [jep[y] for y in em])
+                           for jp, jep in zip(J, (J[x] for x in em)))
+    yield "Q4", first(em[x] != x for x in em)
+    yield "Q5", first(em[o[x]] != o[x] for x in em)
+    # e(p ^ e q) == e p ^ e q
+    yield "Q6", first_pair(([em[mp[y]] for y in em], [mep[y] for y in em])
+                           for mp, mep in zip(M, (M[x] for x in em)))
+
+
+def check_quantifier(L: FiniteOL, e: UnaryMap) -> QuantifierReport:
+    """Exhaustive evaluation of Q1-Q6 with witnesses for failures."""
+    return first_failure_report(QuantifierReport, dict(quantifier_laws(L, e)))
 
 
 def quantifier_from_subalgebra(L: FiniteOL, S) -> UnaryMap:

@@ -68,10 +68,6 @@ class Subspace:
     def full(dim: int) -> "Subspace":
         return _bounds(dim)[1]
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def contains(self, v) -> bool:
         return self._spans(la.int_row(_check_length(self.dim, v)))
 
@@ -140,9 +136,9 @@ def _from_echelon(dim: int, echelon_form) -> Subspace:
 
 
 def _fill(s: Subspace, dim: int, rows, pivots) -> Subspace:
-    # the hash is kept at construction, out of == and repr like basis:
-    # closures hash each held subspace once per lookup
-    s.__dict__.update(dim=dim, rows=rows, pivots=pivots,
+    # the hash and rank are kept at construction, out of == and repr like
+    # basis: closures hash each held subspace once per lookup
+    s.__dict__.update(dim=dim, rows=rows, pivots=pivots, rank=len(rows),
                       _hash=hash((dim, rows)))
     return s
 

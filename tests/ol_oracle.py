@@ -26,8 +26,8 @@ from omlkit.frames import (Orthoframe, biortho, exists_R, image,
                            orthocomplement)
 from omlkit.lattice import (DEFAULT_MAX_ELEMENTS, FiniteOL, LatticeError,
                             OMLFlag, SizeGuardError, ValidationReport)
-from omlkit.quantifiers import (AXIOMS, NotApproximatingError,
-                                QuantifierReport, UnaryMap)
+from omlkit.quantifiers import (NotApproximatingError, QuantifierReport,
+                                UnaryMap)
 from omlkit import frames
 
 
@@ -273,7 +273,7 @@ def check_quantifier(L: FiniteOL, e: UnaryMap) -> QuantifierReport:
                 break
         if "Q6" in st:
             break
-    for a in AXIOMS:
+    for a in ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6"):
         st.setdefault(a, (True, None))
     return QuantifierReport(st)
 

@@ -200,6 +200,8 @@ def test_search_bounds_refused():
     assert run("search", "q6", "--dim", "4").exit_code == 2
     # so is --boolean-only, whose one-block search could only find nothing
     assert run("search", "q6", "--boolean-only").exit_code == 2
+    # and --seed, which no report read: the sampled repros sample theorems
+    assert run("--seed", "7", "repro", "commuting-square").exit_code == 2
 
 
 def test_convert_greechie():
@@ -249,8 +251,8 @@ def test_json_reports_deterministic_modulo_timing():
     a = run("--json", "-", "check", "lattice", fx)
     b = run("--json", "-", "check", "lattice", fx)
     assert strip_timing(a.output) == strip_timing(b.output)
-    a = run("--json", "-", "--seed", "7", "repro", "commuting-square")
-    b = run("--json", "-", "--seed", "7", "repro", "commuting-square")
+    a = run("--json", "-", "repro", "commuting-square")
+    b = run("--json", "-", "repro", "commuting-square")
     assert strip_timing(a.output) == strip_timing(b.output)
 
 

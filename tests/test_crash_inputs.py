@@ -8,9 +8,13 @@ UTF-8 (UnicodeDecodeError), an int with more digits than int() converts
 (ValueError), inline or in the "lattice" file a quantifier names, and a
 NUL in that file's name (ValueError from open).  A file, or a named
 lattice file, longer than formats.MAX_INPUT_BYTES is refused after that
-many bytes and one more are read, so an endless file ends too."""
+many bytes and one more are read, so an endless file ends too, and a FIFO
+with no writer reads as empty instead of waiting for one."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -194,3 +198,17 @@ def test_named_lattice_file_past_the_bound_is_refused(tmp_path, bound):
 def test_endless_file_is_refused(bound, command):
     rep = _refused(_run(*command.split(), "/dev/zero"))
     assert rep["error"] == "/dev/zero is over %d bytes" % bound
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_fifo_with_no_writer_is_refused(tmp_path):
+    # in a child process, so a wait for a writer ends at the timeout
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    res = subprocess.run([sys.executable, "-m", "omlkit", "--json", "-",
+                          "check", "lattice", str(fifo)],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+    assert json.loads(res.stdout)["error"] == \
+        "invalid JSON: Expecting value: line 1 column 1 (char 0)"

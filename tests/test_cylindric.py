@@ -1,9 +1,17 @@
+import json
+from pathlib import Path
+
 import pytest
 
 import omlkit.cylindric as cy
+import omlkit.formats as fo
 import omlkit.lattice as lat
+import omlkit.quantifiers as qu
 import omlkit.subspaces as sp
 from omlkit.quantifiers import UnaryMap
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+Q1_Q5 = ["Q1", "Q2", "Q3", "Q4", "Q5"]
 
 
 def two_by_two():
@@ -98,3 +106,75 @@ def test_tensor_closure_full_mode_fails_c5_dim2():
     assert cy.check_cylindric(C, "weak").ok
     rep = cy.check_cylindric(C, "full")
     assert not rep.ok and rep.failed() == ["C5"]
+
+
+# ---------------------------------------------------------------------------
+# C1 reads Q1-Q5 only, index by index, and stops at the first failure
+
+
+def _first_c1_failure(C):
+    """C1's witness from each map's full quantifier report."""
+    for i in C.dims:
+        status = qu.check_quantifier(C.base, C.cylindrifications[i]).status
+        for a in Q1_Q5:
+            if not status[a][0]:
+                return i, a, status[a][1]
+    return None
+
+
+def _laws_drawn(monkeypatch):
+    """The (map, law) pairs check_cylindric draws from quantifier_laws,
+    in order; check_quantifier, which evaluates Q6, may not be called."""
+    drawn, laws = [], qu.quantifier_laws
+
+    def traced(L, e):
+        for law, witness in laws(L, e):
+            drawn.append((e, law))
+            yield law, witness
+
+    def no_q6(L, e):
+        raise AssertionError("C1 evaluated Q6")
+
+    monkeypatch.setattr(cy, "quantifier_laws", traced)
+    monkeypatch.setattr(cy, "check_quantifier", no_q6, raising=False)
+    monkeypatch.setattr(qu, "check_quantifier", no_q6)
+    return drawn
+
+
+def test_c1_evaluates_no_q6_on_the_tensor_fixture(monkeypatch):
+    C = fo.load_cylindric(json.loads(
+        (FIXTURES / "tensor33_cylindric.json").read_text()), FIXTURES)
+    for i in C.dims:  # each c_i fails Q6 and is a quantifier all the same
+        rep = qu.check_quantifier(C.base, C.cylindrifications[i])
+        assert rep.is_quantifier and not rep.ok("Q6")
+    drawn = _laws_drawn(monkeypatch)
+    rep = cy.check_cylindric(C, "full")
+    assert rep.status["C1"] == (True, None) and rep.failed() == ["C5"]
+    assert drawn == [(C.cylindrifications[i], a)
+                     for i in C.dims for a in Q1_Q5]
+
+
+def test_c1_checks_no_index_after_a_failing_one(monkeypatch):
+    C = two_by_two()
+    L = C.base
+    cyl = dict(C.cylindrifications)
+    cyl[0] = UnaryMap(L, tuple(L.zero for _ in L.elements()))  # fails Q2
+    bad = cy.CylindricStructure(L, C.dims, cyl, C.diagonals)
+    want = _first_c1_failure(bad)
+    assert want[:2] == (0, "Q2")
+    drawn = _laws_drawn(monkeypatch)
+    assert cy.check_cylindric(bad, "weak").status["C1"] == (False, want)
+    assert drawn == [(cyl[0], "Q1"), (cyl[0], "Q2")]
+
+
+def test_c1_walks_to_the_first_failing_index(monkeypatch):
+    C = two_by_two()
+    L = C.base
+    cyl = dict(C.cylindrifications)
+    cyl[1] = UnaryMap(L, tuple(L.one for _ in L.elements()))  # fails Q1
+    bad = cy.CylindricStructure(L, C.dims, cyl, C.diagonals)
+    want = _first_c1_failure(bad)
+    assert want == (1, "Q1", (L.zero,))
+    drawn = _laws_drawn(monkeypatch)
+    assert cy.check_cylindric(bad, "full").status["C1"] == (False, want)
+    assert drawn == [(cyl[0], a) for a in Q1_Q5] + [(cyl[1], "Q1")]

@@ -167,3 +167,20 @@ def test_weak_cylindric_frame_detects_bad_diagonal():
     diags[(1, 0)] = 0
     rep = fr.check_weak_cylindric_frame(F, rels, diags)
     assert not rep.ok and "W4" in rep.failed()
+
+
+def test_w1_stops_at_the_first_failing_relation(monkeypatch):
+    F, rels, diags = classical_cyl_frame(2)
+    rels[0] = (0,) * F.n  # not reflexive, so no preorder
+    want = fr.check_monadic_frame(F, rels[0]).failed()
+    assert want == ["M2"]
+    calls, check = [], fr.check_monadic_frame
+
+    def counted(F, R):
+        calls.append(R)
+        return check(F, R)
+
+    monkeypatch.setattr(fr, "check_monadic_frame", counted)
+    rep = fr.check_weak_cylindric_frame(F, rels, diags)
+    assert rep.status["W1"] == (False, (0, want))
+    assert calls == [rels[0]]
