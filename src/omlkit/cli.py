@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 an axiom or reproduction fails, 2 the
-input cannot be parsed or violates structural bounds.
+input cannot be parsed or violates structural bounds, or the --json
+destination cannot be written.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import sys
@@ -25,16 +27,24 @@ from .quantifiers import (check_quantifier, find_q6_counterexample,
 PASS, FAIL, REFUSED = 0, 1, 2
 
 
+def _write(ctx, obj):
+    """Write obj as JSON to the --json destination, stdout for '-' or none;
+    a destination that cannot be written refuses the run."""
+    dest = ctx.obj["json"]
+    try:
+        with click.open_file("-" if dest is None else dest, "w") as fh:
+            fh.write(json.dumps(obj, sort_keys=True, indent=2, default=str)
+                     + "\n")
+    except OSError as exc:
+        click.echo("Error: cannot write %s: %s" % (dest, exc.strerror),
+                   err=True)
+        ctx.exit(REFUSED)
+
+
 def _emit(ctx, report, code):
     report["status"] = {PASS: "pass", FAIL: "fail", REFUSED: "refused"}[code]
-    dest = ctx.obj.get("json")
-    if dest is not None:
-        text = json.dumps(report, sort_keys=True, indent=2, default=str)
-        if dest == "-":
-            click.echo(text)
-        else:
-            with open(dest, "w") as fh:
-                fh.write(text + "\n")
+    if ctx.obj["json"] is not None:
+        _write(ctx, report)
     else:
         click.echo("status: %s" % report["status"])
         for key, val in sorted(report.items()):
@@ -45,18 +55,37 @@ def _emit(ctx, report, code):
     ctx.exit(code)
 
 
+def _runs(name):
+    """Run body(ctx, report, **args) as a command: name the report (name is
+    formatted with the arguments), time it, refuse a loader or size-guard
+    error with exit 2 and emit it.  The body returns PASS or FAIL."""
+    def wrap(body):
+        @click.pass_context
+        @functools.wraps(body)
+        def run(ctx, **args):
+            t0 = time.monotonic()
+            report = {"command": name.format(**args)}
+            try:
+                code = body(ctx, report, **args)
+            except (formats.FormatError, lat.SizeGuardError) as exc:
+                report["error"] = str(exc)
+                code = REFUSED
+            report["timing"] = time.monotonic() - t0
+            _emit(ctx, report, code)
+        return run
+    return wrap
+
+
 @click.group()
 @click.option("--json", "json_out", default=None,
-              help="Write the report as JSON to this file ('-' for stdout).")
+              help="Write the output as JSON to this file ('-' for stdout).")
 @click.option("--max-size", default=lat.DEFAULT_MAX_ELEMENTS, type=int,
               help="Largest lattice size the loaders will accept.")
 @click.pass_context
 def main(ctx, json_out, max_size):
     """Checks, searches and reproductions for finite quantum monadic and
     cylindric structures."""
-    ctx.ensure_object(dict)
-    ctx.obj["json"] = json_out
-    ctx.obj["max_size"] = max_size
+    ctx.obj = {"json": json_out, "max_size": max_size}
 
 
 def _status_dict(status):
@@ -70,23 +99,11 @@ def _status_dict(status):
 @click.argument("path", type=click.Path())
 @click.option("--mode", default="weak", type=click.Choice(["weak", "full"]),
               help="Cylindric axiom set to check.")
-@click.pass_context
-def check(ctx, kind, path, mode):
+@_runs("check {kind}")
+def check(ctx, report, kind, path, mode):
     """Validate a structure file against its axioms."""
-    t0 = time.monotonic()
-    report = {"command": "check %s" % kind}
-    try:
-        text, report["input_sha256"] = formats.read_input(path)
-        code = _run_check(kind, formats.parse_json(text), mode,
-                          ctx.obj["max_size"], report, Path(path).parent)
-    except (formats.FormatError, lat.SizeGuardError) as exc:
-        report["error"] = str(exc)
-        code = REFUSED
-    report["timing"] = time.monotonic() - t0
-    _emit(ctx, report, code)
-
-
-def _run_check(kind, obj, mode, max_size, report, base_dir):
+    text, report["input_sha256"] = formats.read_input(path)
+    obj, max_size = formats.parse_json(text), ctx.obj["max_size"]
     if kind == "lattice":
         L = formats.load_lattice(obj, max_size)
         rep = lat.validate_ortholattice(L)
@@ -101,53 +118,36 @@ def _run_check(kind, obj, mode, max_size, report, base_dir):
         report["orthomodular"] = {"ok": oml.is_oml, "witness": oml.witness}
         return PASS if rep.ok else FAIL
     if kind == "quantifier":
-        L, e = formats.load_quantifier(obj, base_dir, max_elements=max_size)
-        rep = check_quantifier(L, e)
-        report["checks"] = _status_dict(rep.status)
-        return PASS if rep.is_quantifier else FAIL
-    if kind == "cylindric":
-        C = formats.load_cylindric(obj, base_dir, max_elements=max_size)
-        rep = check_cylindric(C, mode)
+        rep = check_quantifier(*formats.load_quantifier(
+            obj, Path(path).parent, max_elements=max_size))
+        status, ok = rep.status, rep.is_quantifier
+    elif kind == "cylindric":
+        rep = check_cylindric(formats.load_cylindric(
+            obj, Path(path).parent, max_elements=max_size), mode)
         report["mode"] = mode
-        report["checks"] = _status_dict(rep.status)
-        return PASS if rep.ok else FAIL
-    if kind == "frame":
+        status, ok = rep.status, rep.ok
+    elif kind == "frame":
         F, rels, diags = formats.load_frame(obj, max_size)
-        base = frames.validate_orthoframe(F)
-        if not base.ok:
-            report["checks"] = _status_dict(base.status)
-            report["error"] = "perp is not an orthogonality relation"
-            return REFUSED
+        rep = frames.validate_orthoframe(F)
+        if not rep.ok:
+            report["checks"] = _status_dict(rep.status)
+            raise formats.FormatError("perp is not an orthogonality relation")
         if diags:
             rep = frames.check_weak_cylindric_frame(F, rels, diags)
         elif rels:
             rep = frames.check_monadic_frame(F, rels[0])
-        else:
-            rep = base
-        report["checks"] = _status_dict(rep.status)
-        return PASS if rep.ok else FAIL
-    A = formats.load_algebra(obj)
-    C = ma.commutant(A)
-    Z = ma.algebra_intersection(A, C)  # the center; A is a factor if Z = C1
-    wit = next((z for z in Z.basis
-                if not ma.scalar_algebra(A.n).contains(z)), None)
-    report.update(algebra_dim=A.dim, commutant_dim=C.dim, center_dim=Z.dim)
-    report["checks"] = _status_dict(
-        {"factor": (wit is None, wit and formats.format_matrix(wit))})
-    return PASS if wit is None else FAIL
-
-
-@main.command()
-@click.argument("name", type=click.Choice(
-    ["q6", "c5", "diag", "bell", "commuting-square", "expectation"]))
-@click.pass_context
-def repro(ctx, name):
-    """Rebuild a named counterexample or identity from scratch."""
-    t0 = time.monotonic()
-    report = {"command": "repro %s" % name}
-    ok = _REPROS[name](report, random.Random(0))
-    report["timing"] = time.monotonic() - t0
-    _emit(ctx, report, PASS if ok else FAIL)
+        status, ok = rep.status, rep.ok
+    else:
+        A = formats.load_algebra(obj)
+        C = ma.commutant(A)
+        Z = ma.algebra_intersection(A, C)  # the center: a factor has Z = C1
+        wit = next((z for z in Z.basis
+                    if not ma.scalar_algebra(A.n).contains(z)), None)
+        report.update(algebra_dim=A.dim, commutant_dim=C.dim, center_dim=Z.dim)
+        status = {"factor": (wit is None, wit and formats.format_matrix(wit))}
+        ok = wit is None
+    report["checks"] = _status_dict(status)
+    return PASS if ok else FAIL
 
 
 def _repro_q6(report, rng):
@@ -259,38 +259,37 @@ _REPROS = {
 
 
 @main.command()
+@click.argument("name", type=click.Choice(list(_REPROS)))
+@_runs("repro {name}")
+def repro(ctx, report, name):
+    """Rebuild a named counterexample or identity from scratch."""
+    return PASS if _REPROS[name](report, random.Random(0)) else FAIL
+
+
+@main.command()
 @click.argument("target", type=click.Choice(["q6"]))
 @click.option("--max-blocks", default=4, type=int,
               help="Atom-block count bound for the diagram search.")
-@click.pass_context
-def search(ctx, target, max_blocks):
+@_runs("search {target}")
+def search(ctx, report, target, max_blocks):
     """Search 3-atom-block pastings for a block quantifier that fails Q6."""
-    t0 = time.monotonic()
-    report = {"command": "search %s" % target}
     if max_blocks < 1 or max_blocks > 6:
-        report["error"] = "--max-blocks must be between 1 and 6"
-        _emit(ctx, report, REFUSED)
+        raise lat.SizeGuardError("--max-blocks must be between 1 and 6")
     wit = find_q6_counterexample(max_blocks=max_blocks)
     report["found"] = wit is not None
     if wit is not None:
         report["witness"] = wit.summary()
-    report["timing"] = time.monotonic() - t0
-    _emit(ctx, report, PASS)
+    return PASS
 
 
 @main.command()
 @click.argument("path", type=click.Path())
-@click.pass_context
-def convert(ctx, path):
+@_runs("convert")
+def convert(ctx, report, path):
     """Convert an atom-block diagram text file to lattice JSON."""
-    report = {"command": "convert"}
-    try:
-        text, report["input_sha256"] = formats.read_input(path)
-        L = formats.greechie_to_lattice(text, ctx.obj["max_size"])
-    except (formats.FormatError, lat.SizeGuardError) as exc:
-        report["error"] = str(exc)
-        _emit(ctx, report, REFUSED)
-    click.echo(json.dumps(formats.dump_lattice(L), sort_keys=True, indent=2))
+    text, report["input_sha256"] = formats.read_input(path)
+    L = formats.greechie_to_lattice(text, ctx.obj["max_size"])
+    _write(ctx, formats.dump_lattice(L))  # the bare lattice, not a report
     ctx.exit(PASS)
 
 

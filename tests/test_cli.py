@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import omlkit.cli as cli
 import omlkit.formats as formats
+import omlkit.lattice as lat
 import omlkit.linalg as la
 import omlkit.matrixalg as ma
 import star_algebra_oracle as oracle
@@ -264,6 +266,70 @@ def test_json_to_file(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["status"] == "pass"
     assert "input_sha256" in rep
+
+
+# one command line per command; each runs to a report of its own
+EACH_COMMAND = [
+    ("check", "lattice", str(FIXTURES / "mo2_lattice.json")),
+    ("repro", "diag"),
+    ("search", "q6", "--max-blocks", "9"),
+    ("convert", str(FIXTURES / "two_blocks.greechie")),
+]
+
+
+@pytest.mark.parametrize("args", EACH_COMMAND, ids=lambda a: a[0])
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+def test_unwritable_json_path_exits_2(tmp_path, args, where):
+    dest = str(tmp_path / "no" / "x.json" if where == "missing_dir"
+               else tmp_path)
+    res = run("--json", dest, *args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.stdout == ""
+    [line] = res.stderr.splitlines()
+    assert dest in line and "Traceback" not in res.output
+
+
+def test_refused_command_line_leaves_json_path_alone(tmp_path):
+    # click refuses the command line before any output is written
+    out = tmp_path / "report.json"
+    assert run("--json", str(out), "check", "nokind", "x").exit_code == 2
+    assert not out.exists()
+    out.write_text("kept\n")
+    assert run("--json", str(out), "repro", "nope").exit_code == 2
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("args", EACH_COMMAND + [("convert", "nope")],
+                         ids=lambda a: "_".join(a[:1] + a[-1:]))
+def test_json_path_holds_what_dash_prints(tmp_path, args):
+    out = tmp_path / "out.json"
+    to_file = run("--json", str(out), *args)
+    to_stdout = run("--json", "-", *args)
+    assert to_file.exit_code == to_stdout.exit_code
+    assert to_file.stdout == ""
+    assert strip_timing(out.read_text()) == strip_timing(to_stdout.stdout)
+    if "timing" not in json.loads(out.read_text()):  # the bare lattice
+        assert out.read_text() == to_stdout.stdout
+
+
+@pytest.mark.parametrize("args, read", [
+    (("check", "lattice", str(FIXTURES / "two_blocks.greechie")), True),
+    (("repro", "c5"), False),
+    (("search", "q6", "--max-blocks", "9"), False),
+    (("convert", str(FIXTURES / "mo2_lattice.json")), True),
+], ids=["check", "repro", "search", "convert"])
+def test_every_refusal_has_one_shape(monkeypatch, args, read):
+    # no repro reads input; a size guard inside one is refused alike
+    def guarded(report, rng):
+        raise lat.SizeGuardError("closure exceeded 1 elements")
+    monkeypatch.setitem(cli._REPROS, "c5", guarded)
+    res = run("--json", "-", *args)
+    assert res.exit_code == 2, res.output
+    rep = json.loads(res.stdout)
+    assert rep["status"] == "refused" and rep["error"]
+    assert set(rep) == {"command", "error", "status", "timing"} | \
+        ({"input_sha256"} if read else set())
 
 
 def _readme_commands():
